@@ -19,8 +19,9 @@
 
    Layering note: this module sits below [Core] (it compiles first), so
    it cannot use [Testbed]; callers hand it the engine, trust store and
-   observability handle explicitly. [Core.Fusion.build ?fleet] does the
-   assembly for the standard world. *)
+   observability handle explicitly. Each member is built by [Site.create],
+   the one site builder [Testbed.make_resource] and [Soak] use too.
+   [Core.Fusion.build ?fleet] does the assembly for the standard world. *)
 
 type member = {
   index : int;
@@ -67,30 +68,6 @@ let submit_error_to_string = function
           Printf.sprintf "  %s: %s" site (Grid_gram.Protocol.submit_error_to_string e))
         timeouts
 
-(* One member's policy evaluation point. Mirrors
-   [Testbed.mode_and_epoch_of_backend] for the two self-hosted backends;
-   each member compiles its own index so epochs advance independently.
-   [wrap] composes an outer gate around the batch lane before it becomes
-   the mode — the token-validating PEP plugs in here, so the gate and
-   the policy engine reload/epoch machinery stay independent. *)
-let backend_for ~obs ?(wrap = fun batch -> batch) ~rebac sources =
-  if rebac then begin
-    let pep = Grid_rebac.Pep.create ~obs sources in
-    ( Grid_gram.Mode.extended_batch ~backend:"rebac" (wrap (Grid_rebac.Pep.batch pep)),
-      (fun () -> Grid_rebac.Pep.epoch pep),
-      Some (fun () -> Grid_rebac.Pep.revision pep),
-      Grid_rebac.Pep.reload pep )
-  end
-  else begin
-    let pep = Grid_callout.File_pep.Compiled.create ~obs sources in
-    ( Grid_gram.Mode.extended_batch ~backend:"flat_file"
-        ~advice:(Grid_callout.File_pep.advice sources)
-        (wrap (Grid_callout.File_pep.Compiled.batch pep)),
-      (fun () -> Grid_callout.File_pep.Compiled.epoch pep),
-      None,
-      Grid_callout.File_pep.Compiled.reload pep )
-  end
-
 let create ?(resources = 4) ?(name_prefix = "site") ?(nodes = 4) ?(cpus_per_node = 8)
     ?queues ?(gridmap = Grid_gsi.Gridmap.empty) ?dynamic_accounts ?(rebac = false)
     ?authz_cache ?(store = false) ?faults ?(fault_seed = 1299709) ?request_timeout
@@ -105,53 +82,6 @@ let create ?(resources = 4) ?(name_prefix = "site") ?(nodes = 4) ?(cpus_per_node
        is what lets the safety monitor judge epoch freshness per member
        and the metrics dashboard break the fleet down by site. *)
     let obs = Grid_obs.Obs.scoped obs [ ("resource", name) ] in
-    let lrm = Grid_lrm.Lrm.create ~obs ?queues ~nodes ~cpus_per_node engine in
-    let pool =
-      Option.map
-        (fun size ->
-          Grid_accounts.Pool.create ~size ~lease_lifetime:(Grid_sim.Clock.hours 8.0) ())
-        dynamic_accounts
-    in
-    let mapper = Grid_accounts.Mapper.create ?pool gridmap in
-    (* Tokenized fleet: every member validates tokens against its own
-       revocation view (fed per the service's distribution mode) before
-       its policy engine sees the query. *)
-    let validator =
-      Option.map (fun s -> Grid_sts.Service.attach_validator s ~obs ~name ()) sts
-    in
-    let wrap =
-      Option.map
-        (fun s ->
-          Grid_sts.Pep.batch ~obs ?validator
-            ~sts_key:(Grid_sts.Service.public_key s) ~audience:"*"
-            ~now:(fun () -> Grid_sim.Engine.now engine))
-        sts
-    in
-    let mode, epoch, revision, reload_sources =
-      backend_for ~obs ?wrap ~rebac (sources ())
-    in
-    let cache =
-      Option.map
-        (fun capacity ->
-          Grid_callout.Cache.create ~capacity ~ttl:(Grid_sim.Clock.minutes 5.0) ~obs
-            ~epoch ?revision
-            ?extra_deadline:
-              (Option.map (fun _ -> Grid_sts.Token.credential_deadline) sts)
-            ~revoked:(fun cred ->
-              List.exists
-                (Grid_gsi.Ca.Trust_store.is_revoked trust)
-                cred.Grid_gsi.Credential.chain)
-            ~now:(fun () -> Grid_sim.Engine.now engine)
-            ())
-        authz_cache
-    in
-    (* A cached permit never outlives a revoked jti: the validator's
-       apply hook flushes this member's decision cache. *)
-    (match (validator, cache) with
-    | Some v, Some c ->
-      Grid_sts.Validator.on_revocation v (fun ~jti:_ ~subject:_ ->
-          Grid_callout.Cache.invalidate c)
-    | _ -> ());
     let network =
       (* Only fault-injected members need their own network; each gets an
          independent fault stream so one seed partitions members
@@ -169,16 +99,25 @@ let create ?(resources = 4) ?(name_prefix = "site") ?(nodes = 4) ?(cpus_per_node
       end
       else None
     in
-    let resource =
-      Grid_gram.Resource.create ~name ?network ?request_timeout
-        ?authz_cache:cache ?store ~policy_epoch:epoch ~obs ~trust ~mapper ~mode ~lrm
-        ~engine ()
+    (* Each member compiles its own policy index so epochs advance
+       independently; a tokenized member validates tokens against its own
+       revocation view before its policy engine sees the query. *)
+    let backend =
+      if rebac then Site.Rebac (Grid_rebac.Pep.create ~obs (sources ()))
+      else Site.Flat_file (sources ())
     in
+    let site =
+      Site.create ~name ~nodes ~cpus_per_node ?queues ~gridmap ?dynamic_accounts ?network
+        ?request_timeout ?authz_cache ?store ?sts ~backend ~engine ~trust ~obs ()
+    in
+    let resource = site.resource in
     let provider =
       Grid_mds.Provider.attach ~period:provider_period ~site:name ~directory resource
     in
-    { index = i; name; resource; provider; epoch; reload_sources; cache; store;
-      validator }
+    (* Self-hosted backends always carry epoch and reload handles. *)
+    { index = i; name; resource; provider; epoch = Option.get site.epoch;
+      reload_sources = Option.get site.reload; cache = site.cache; store;
+      validator = site.validator }
   in
   let members = Array.init resources member in
   let broker =

@@ -269,29 +269,39 @@ let run (config : config) : report =
   Grid_vo.Vo.add_member vo ~dn:mallory ~groups:[ "analysts" ];
   let sources () = Fusion_world.policy_sources vo in
   let initial_sources = sources () in
-  (* The configured PEP behind a uniform handle: callout, epoch source,
-     reload. The oracle side is symmetric — [answerer_for] snapshots the
+  (* The oracle side of the configured PEP: [answerer_for] snapshots the
      sources into a closure the monitor can re-derive answers from. *)
   let answerer_for =
     match config.pep with
     | Flat_file_pep -> flat_file_answerer
     | Rebac_pep -> rebac_answerer
   in
-  let backend_label = pep_backend_to_string config.pep in
 
   (* Default-deny mis-wiring: while armed, the next Denied answer from a
      real PEP is flipped to a permit — under the live request's
-     correlation id, exactly the bug class the monitor must catch. *)
+     correlation id, exactly the bug class the monitor must catch. The
+     flip wraps both lanes of the policy engine, inside the token gate. *)
   let flip_next_denial = ref false in
+  let flip_denials lane =
+    let flip = function
+      | Error (Grid_callout.Callout.Denied _) when !flip_next_denial ->
+        flip_next_denial := false;
+        Grid_callout.Callout.permitted
+      | decision -> decision
+    in
+    Grid_callout.Callout.Batch.make
+      ~single:(fun q -> flip (Grid_callout.Callout.Batch.check lane q))
+      ~many:(fun qs -> Array.map flip (Grid_callout.Callout.Batch.evaluate_many lane qs))
+  in
   let request_timeout =
     match config.faults with No_faults -> None | Light | Heavy -> Some 0.25
   in
   (* One federation member. Member 0 reproduces the original single-site
      campaign byte for byte (same name and fault-stream seeds); further
      members get their own names and decorrelated seed offsets. Every
-     member owns a full stack — PEP (independent epoch), cache, store on
-     its own disk, faulty network — and registers its create-epoch in
-     the oracle history. *)
+     member owns a full stack built by [Site.create] — PEP (independent
+     epoch), cache, store on its own disk, faulty network — and
+     registers its create-epoch in the oracle history. *)
   let make_member i =
     let name = if i = 0 then "soak-site" else Printf.sprintf "soak-site-%d" i in
     (* Multi-member runs scope each member's emission stream with its
@@ -302,46 +312,6 @@ let run (config : config) : report =
       if config.resources = 1 then obs
       else Grid_obs.Obs.scoped obs [ ("resource", name) ]
     in
-    let pep_callout, epoch, reload_pep =
-      match config.pep with
-      | Flat_file_pep ->
-        let pep = Grid_callout.File_pep.Compiled.create ~obs initial_sources in
-        ( Grid_callout.File_pep.Compiled.callout pep,
-          (fun () -> Grid_callout.File_pep.Compiled.epoch pep),
-          Grid_callout.File_pep.Compiled.reload pep )
-      | Rebac_pep ->
-        let pep = Grid_rebac.Pep.create ~obs initial_sources in
-        ( Grid_rebac.Pep.callout pep,
-          (fun () -> Grid_rebac.Pep.epoch pep),
-          Grid_rebac.Pep.reload pep )
-    in
-    history := (epoch (), answerer_for initial_sources) :: !history;
-    let callout q =
-      match pep_callout q with
-      | Error (Grid_callout.Callout.Denied _) when !flip_next_denial ->
-        flip_next_denial := false;
-        Ok ()
-      | decision -> decision
-    in
-    (* Token mode: a per-member validator (fed per the service's
-       distribution mode) and the token-gating PEP outside the policy
-       callout — the token is checked first, then the same inner engine
-       decides, so non-revoked subjects get bit-identical answers. *)
-    let validator =
-      Option.map
-        (fun s -> Grid_sts.Service.attach_validator s ~obs ~name ())
-        sts
-    in
-    let callout =
-      match sts with
-      | None -> callout
-      | Some s ->
-        Grid_sts.Pep.callout ~obs ?validator
-          ~sts_key:(Grid_sts.Service.public_key s) ~audience:"*"
-          ~now:(fun () -> Grid_sim.Engine.now engine)
-          callout
-    in
-    let mode = Grid_gram.Mode.extended ~backend:backend_label callout in
     let network =
       Grid_sim.Network.create ?faults:(network_faults config.faults)
         ~fault_seed:(config.seed + 17 + (31 * i)) engine
@@ -351,29 +321,20 @@ let run (config : config) : report =
         ~seed:(config.seed + 29 + (101 * i)) ()
     in
     let store = Grid_store.Store.create ~obs ~snapshot_every:64 ~disk ~name () in
-    let authz_cache =
-      Grid_callout.Cache.create ~capacity:2048 ~ttl:(Grid_sim.Clock.minutes 5.0) ~obs
-        ~epoch
-        ?extra_deadline:(Option.map (fun _ -> Grid_sts.Token.credential_deadline) sts)
-        ~now:(fun () -> Grid_sim.Engine.now engine)
-        ()
+    let backend =
+      match config.pep with
+      | Flat_file_pep -> Site.Flat_file initial_sources
+      | Rebac_pep -> Site.Rebac (Grid_rebac.Pep.create ~obs initial_sources)
     in
-    (* A cached permit must not outlive the jti that earned it: any
-       revocation this member's validator applies flushes the cache. *)
-    Option.iter
-      (fun v ->
-        Grid_sts.Validator.on_revocation v (fun ~jti:_ ~subject:_ ->
-            Grid_callout.Cache.invalidate authz_cache))
-      validator;
-    let resource =
-      Grid_gram.Resource.create ~name ~network ?request_timeout ~authz_cache ~store
-        ~policy_epoch:epoch ~obs ~trust
-        ~mapper:(Grid_accounts.Mapper.create (Grid_gsi.Gridmap.parse gridmap_text))
-        ~mode
-        ~lrm:(Grid_lrm.Lrm.create ~obs ~nodes:8 ~cpus_per_node:8 engine)
-        ~engine ()
+    let site =
+      Site.create ~name ~nodes:8 ~cpus_per_node:8
+        ~gridmap:(Grid_gsi.Gridmap.parse gridmap_text) ~network ?request_timeout
+        ~authz_cache:2048 ~store ?sts ~wrap:flip_denials ~backend ~engine ~trust ~obs ()
     in
-    (resource, epoch, reload_pep)
+    (* Self-hosted backends always carry epoch and reload handles. *)
+    let epoch = Option.get site.epoch in
+    history := (epoch (), answerer_for initial_sources) :: !history;
+    (site.resource, epoch, Option.get site.reload)
   in
   let members = Array.init config.resources make_member in
   let member_resources = Array.map (fun (r, _, _) -> r) members in

@@ -44,8 +44,6 @@ val make : obj -> relation:string -> subject -> t
 
 val to_string : t -> string
 val of_string : string -> (t, string) result
-val of_string_exn : string -> t
-(** Raises [Invalid_argument] where {!of_string} returns [Error]. *)
 
 val equal : t -> t -> bool
 val pp : t Fmt.t

@@ -247,6 +247,23 @@ let test_soak_monitor_off () =
   Alcotest.(check int) "no monitor, no events checked" 0 r.Soak.events_checked;
   Alcotest.(check int) "no monitor, no violations" 0 (List.length r.Soak.violations)
 
+(* Every layer of the site stack at once: a two-member federation on the
+   ReBAC backend, management coalesced into batches of eight through the
+   native batch lanes, and every request gated by push-mode STS tokens. *)
+let test_soak_fleet_batch_rebac_push () =
+  let r =
+    Soak.run
+      { Soak.default_config with
+        Soak.days = 0.5;
+        seed = 42;
+        resources = 2;
+        batch = 8;
+        pep = Soak.Rebac_pep;
+        tokens = Some Grid_sts.Validator.Push }
+  in
+  Alcotest.(check int) "no violations" 0 (List.length r.Soak.violations);
+  Alcotest.(check bool) "management was exercised" true (r.Soak.management > 0)
+
 let test_injection vclass () =
   let r = Soak.run { small_config with Soak.inject = Some vclass } in
   Alcotest.(check (list string))
@@ -287,5 +304,7 @@ let () =
             test_soak_clean;
           Alcotest.test_case "campaign is deterministic in its seed" `Quick
             test_soak_deterministic;
-          Alcotest.test_case "monitor off checks nothing" `Quick test_soak_monitor_off ]
+          Alcotest.test_case "monitor off checks nothing" `Quick test_soak_monitor_off;
+          Alcotest.test_case "fleet x batch x rebac x push tokens: clean" `Quick
+            test_soak_fleet_batch_rebac_push ]
         @ injection_cases ) ]
