@@ -703,14 +703,19 @@ let t14_obs_overhead () =
   let bare = Callout.File_pep.of_sources sources in
   (* Disabled observer: instrument returns the callout unchanged, so this
      measures the guaranteed-zero-cost path. *)
-  let disabled = Callout.Callout.instrument ~backend:"flat_file" ~obs:Obs.Obs.noop bare in
+  let disabled =
+    Callout.Callout.(
+      Batch.check
+        (instrument ~backend:"flat_file" ~obs:Obs.Obs.noop (Batch.of_callout bare)))
+  in
   (* Enabled observer with a constant clock: full metric + span recording
      on every decision. The tracer's retention cap (100k spans) bounds
      memory across the millions of iterations bechamel runs. *)
   let obs = Obs.Obs.create () in
   let instrumented =
-    Callout.Callout.instrument ~backend:"flat_file" ~obs
-      (Callout.File_pep.of_sources ~obs sources)
+    Callout.Callout.Batch.check
+      (Callout.Callout.instrument ~backend:"flat_file" ~obs
+         (Callout.File_pep.Compiled.batch (Callout.File_pep.Compiled.create ~obs sources)))
   in
   let labels = [ ("backend", "flat_file"); ("action", "start"); ("outcome", "permitted") ] in
   let tests =
@@ -820,7 +825,10 @@ let t16_authz_cache () =
   let cache =
     Callout.Cache.create ~capacity:4096 ~ttl:1e12 ~now:(fun () -> 0.0) ()
   in
-  let cached = Callout.Cache.with_cache cache compiled in
+  let cached =
+    Callout.Callout.Batch.check
+      (Callout.Cache.with_cache cache (Callout.Callout.Batch.of_callout compiled))
+  in
   let user i = Gsi.Dn.parse (Printf.sprintf "/O=Grid/O=Synth/CN=user%04d" i) in
   let query ?(i = n - 1) ?(action = Policy.Types.Action.Information) ?(job = 0) () =
     Callout.Callout.Query.make ~requester:(user i)
@@ -1064,10 +1072,11 @@ let t19_rebac () =
   let rebac = Rebac.Pep.callout rebac_pep in
   let flat = Callout.File_pep.of_sources sources in
   let make_cached ?epoch ?revision pep =
-    Callout.Cache.with_cache
-      (Callout.Cache.create ~capacity:4096 ~ttl:1e12 ?epoch ?revision
-         ~now:(fun () -> 0.0) ())
-      pep
+    Callout.Callout.Batch.check
+      (Callout.Cache.with_cache
+         (Callout.Cache.create ~capacity:4096 ~ttl:1e12 ?epoch ?revision
+            ~now:(fun () -> 0.0) ())
+         (Callout.Callout.Batch.of_callout pep))
   in
   let rebac_cached =
     make_cached
@@ -1181,7 +1190,7 @@ let t20_batch () =
       ~epoch:(fun () -> Callout.File_pep.Compiled.epoch compiled_pep)
       ~now:(fun () -> 0.0) ()
   in
-  let cached = Callout.Cache.with_cache_many cache compiled in
+  let cached = Callout.Cache.with_cache cache compiled in
   (* T12's traffic shape as a query stream: the fusion cast submitting
      their usual templates and managing each other's jobs, plus stranger
      noise. A small cast times a small action space yields the natural
@@ -1315,20 +1324,20 @@ let t20_batch () =
       !rows @ [ ("compiled/batch_speedup", speedup); ("compiled/alloc_ceiling", ceiling) ]
   | None -> ());
   collected := ("batch decision pipeline", !rows) :: !collected;
-  (* Differential oracle: every backend's many lane must agree with its
-     single lane element-wise — decision AND reason (the structural
-     compare covers the full error payload) — across a fresh seeded mix
-     chopped into ragged batch sizes. The fallback lane exercises
-     [Batch.of_callout] itself over the uncompiled reference evaluator. *)
-  let fallback = Callout.Callout.Batch.of_callout (Callout.File_pep.reference sources) in
+  (* Differential oracle: every backend must agree with the uncompiled
+     reference evaluator element-wise — decision AND reason (the
+     structural compare covers the full error payload) — across a fresh
+     seeded mix chopped into ragged batch sizes. The fallback exercises
+     [Batch.of_callout] itself over the reference. *)
+  let reference = Callout.File_pep.reference sources in
+  let fallback = Callout.Callout.Batch.of_callout reference in
   let trials = 1200 in
   let stream = query_stream ~seed:20260811 trials in
+  let expect = Array.map reference stream in
   let rng = Util.Rng.create ~seed:99 in
   let divergences = ref 0 in
   List.iter
     (fun (name, b) ->
-      let single = Callout.Callout.Batch.check b in
-      let expect = Array.map single stream in
       let got = Array.make trials Callout.Callout.permitted in
       let pos = ref 0 in
       while !pos < trials do

@@ -24,7 +24,7 @@ let read_file path =
    XACML replacement); files are dispatched on their first character. *)
 let parse_policy_text text =
   if Grid_util.Strings.starts_with ~prefix:"<" (Grid_util.Strings.strip text) then
-    Grid_policy.Xacml.parse_result text
+    Grid_policy.Xacml.parse text
   else Grid_policy.Parse.parse_result text
 
 let load_sources paths =

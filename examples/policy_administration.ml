@@ -53,7 +53,9 @@ let () =
   print_string xml;
 
   say "\n== 5. Round-trip: the XML re-imports to the same decisions ==\n";
-  let reimported = Policy.Xacml.parse xml in
+  let reimported =
+    match Policy.Xacml.parse xml with Ok policy -> policy | Error m -> failwith m
+  in
   let probe =
     Policy.Types.start_request
       ~subject:(Gsi.Dn.parse "/O=Grid/O=Fusion/CN=Alice")

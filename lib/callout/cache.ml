@@ -267,67 +267,37 @@ let store t ~now ~credential key decision =
     end
   end
 
-let with_cache t ?(scope = "authz") (backend : Callout.t) : Callout.t =
- fun q ->
-  let now = t.now () in
-  let epoch = match t.epoch with None -> 0 | Some f -> f () in
-  (* Revision (tuple-store writes under the ReBAC PEP) participates in
-     the key but does not flush: unlike an epoch bump — a wholesale
-     policy replacement — a revision bump invalidates no *other*
-     revision's entries, it just stops them being probed; the LRU ages
-     them out. *)
-  let revision = Option.map (fun f -> f ()) t.revision in
-  flush_on_epoch t epoch;
-  match q.Callout.requester_credential with
-  | Some cred when not (credential_live ~now cred) ->
-    (* Expired requester credential: the cache neither answers for it nor
-       learns from it — the backend stack produces the authoritative
-       result. *)
-    t.bypasses <- t.bypasses + 1;
-    Grid_obs.Obs.incr t.obs "authz_cache_bypass_total";
-    Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.bypass"
-      [ ("scope", scope); ("reason", "credential_expired") ];
-    backend q
-  | Some cred when t.revoked cred ->
-    (* Revoked-but-unexpired credential: a permit cached before the
-       revocation must not answer for it, and nothing learned now may
-       outlive the next CRL read — so, like expiry, the backend stack
-       owns the refusal. *)
-    t.bypasses <- t.bypasses + 1;
-    Grid_obs.Obs.incr t.obs "authz_cache_bypass_total";
-    Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.bypass"
-      [ ("scope", scope); ("reason", "credential_revoked") ];
-    backend q
-  | credential -> begin
-    let key = query_key ~scope ~epoch ?revision q in
-    match probe t ~now key with
-    | Some node -> serve_hit t ~scope ~epoch node
-    | None ->
-      t.misses <- t.misses + 1;
-      Grid_obs.Obs.incr t.obs "authz_cache_misses_total";
-      Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.miss"
-        [ ("scope", scope); ("epoch", string_of_int epoch) ];
-      let decision = backend q in
-      store t ~now ~credential key decision;
-      decision
-  end
+let note_bypass t ~scope reason =
+  Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.bypass" [ ("scope", scope); ("reason", reason) ]
 
-(* --- Batched lookup ----------------------------------------------------- *)
+(* One cache pass per batch; a single consultation is a batch of one.
+   The sweep classifies every query:
 
-(* One cache pass for a whole batch. The many lane classifies every
-   query in one sweep — live credential + table hit is served on the
-   spot; expired-credential bypasses and cache misses are collected into
-   a single sub-batch for the backend's many lane, with within-batch
-   duplicate keys collapsed onto one representative ask (a batch is one
-   simulated instant: the sequential single-shot path would have served
-   the duplicates from the entry the representative just stored, so
-   collapsing answers identically for cacheable results and spares a
-   failing backend the hammering for non-cacheable ones). Bypasses are
-   never stored; representative answers are stored under the
-   representative's credential deadline, exactly as single-shot. Answers
-   scatter back by original index, so batch order is preserved. *)
-let with_cache_many t ?(scope = "authz") (backend : Callout.Batch.t) : Callout.Batch.t =
-  let single = with_cache t ~scope (Callout.Batch.callout backend) in
+     - A live credential with a table hit is served on the spot.
+     - An expired (or not-yet-valid) requester credential, or a
+       revoked-but-unexpired one, bypasses the cache: the cache neither
+       answers for it nor learns from it, and the backend stack produces
+       the authoritative result. A permit cached before a revocation must
+       not answer for the revoked credential, and nothing learned now may
+       outlive the next CRL read.
+     - Misses are collected, with bypasses, into one sub-batch for the
+       backend's many lane. Within-batch duplicate keys collapse onto one
+       representative ask: a batch is one simulated instant, and asked
+       one by one the duplicates would have been served from the entry
+       the representative just stored. Collapsing answers identically
+       for cacheable results and spares a failing backend the hammering
+       for non-cacheable ones. A one-element batch has no duplicates, so
+       it builds no table for them.
+
+   Representative answers are stored under the representative's
+   credential deadline; bypasses are never stored. Answers scatter back
+   by original index, so batch order is preserved.
+
+   Revision (tuple-store writes under the ReBAC PEP) participates in the
+   key but does not flush: unlike an epoch bump — a wholesale policy
+   replacement — a revision bump invalidates no *other* revision's
+   entries, it just stops them being probed; the LRU ages them out. *)
+let with_cache t ?(scope = "authz") (backend : Callout.Batch.t) : Callout.Batch.t =
   let many (qs : Callout.query array) =
     let n = Array.length qs in
     let now = t.now () in
@@ -340,7 +310,9 @@ let with_cache_many t ?(scope = "authz") (backend : Callout.Batch.t) : Callout.B
        [None] marks a credential bypass). *)
     let sub = ref [] in
     let sub_count = ref 0 in
-    let rep_slot : (string, int) Hashtbl.t = Hashtbl.create 16 in
+    let rep_slot : (string, int) Hashtbl.t option =
+      if n > 1 then Some (Hashtbl.create 16) else None
+    in
     let dups = ref [] in
     let bypasses = ref 0 in
     let misses = ref 0 in
@@ -349,14 +321,12 @@ let with_cache_many t ?(scope = "authz") (backend : Callout.Batch.t) : Callout.B
       match q.Callout.requester_credential with
       | Some cred when not (credential_live ~now cred) ->
         incr bypasses;
-        Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.bypass"
-          [ ("scope", scope); ("reason", "credential_expired") ];
+        note_bypass t ~scope "credential_expired";
         sub := (i, None) :: !sub;
         incr sub_count
       | Some cred when t.revoked cred ->
         incr bypasses;
-        Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.bypass"
-          [ ("scope", scope); ("reason", "credential_revoked") ];
+        note_bypass t ~scope "credential_revoked";
         sub := (i, None) :: !sub;
         incr sub_count
       | _ -> begin
@@ -364,22 +334,24 @@ let with_cache_many t ?(scope = "authz") (backend : Callout.Batch.t) : Callout.B
         match probe t ~now key with
         | Some node -> results.(i) <- serve_hit t ~scope ~epoch node
         | None -> begin
-          match Hashtbl.find_opt rep_slot key with
+          let rep = match rep_slot with None -> None | Some tbl -> Hashtbl.find_opt tbl key in
+          match rep with
           | Some slot -> dups := (i, slot) :: !dups
           | None ->
             incr misses;
             Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.miss"
               [ ("scope", scope); ("epoch", string_of_int epoch) ];
-            Hashtbl.add rep_slot key !sub_count;
+            (match rep_slot with Some tbl -> Hashtbl.add tbl key !sub_count | None -> ());
             sub := (i, Some key) :: !sub;
             incr sub_count
         end
       end
     done;
-    let entries = Array.of_list (List.rev !sub) in
-    if Array.length entries > 0 then begin
-      let batch = Array.map (fun (i, _) -> qs.(i)) entries in
-      let answers = Callout.Batch.evaluate_many backend batch in
+    if !sub_count > 0 then begin
+      let entries = Array.of_list (List.rev !sub) in
+      let answers =
+        Callout.Batch.evaluate_many backend (Array.map (fun (i, _) -> qs.(i)) entries)
+      in
       Array.iteri
         (fun slot (i, key_opt) ->
           let decision = answers.(slot) in
@@ -388,21 +360,21 @@ let with_cache_many t ?(scope = "authz") (backend : Callout.Batch.t) : Callout.B
           | None -> () (* bypass: the cache never learns from it *)
           | Some key ->
             store t ~now ~credential:qs.(i).Callout.requester_credential key decision)
-        entries
+        entries;
+      (* Fan representative answers out to within-batch duplicates; each
+         counts as the hit it would have been on a one-by-one pass. *)
+      List.iter
+        (fun (i, slot) ->
+          let rep_index, _ = entries.(slot) in
+          let decision = results.(rep_index) in
+          results.(i) <- decision;
+          t.hits <- t.hits + 1;
+          Grid_obs.Obs.incr t.obs "authz_cache_hits_total";
+          Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.hit"
+            [ ("scope", scope); ("epoch", string_of_int epoch);
+              ("outcome", Callout.outcome_label decision) ])
+        !dups
     end;
-    (* Fan representative answers out to within-batch duplicates; each
-       counts as the hit it would have been on the sequential path. *)
-    List.iter
-      (fun (i, slot) ->
-        let rep_index, _ = entries.(slot) in
-        let decision = results.(rep_index) in
-        results.(i) <- decision;
-        t.hits <- t.hits + 1;
-        Grid_obs.Obs.incr t.obs "authz_cache_hits_total";
-        Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.hit"
-          [ ("scope", scope); ("epoch", string_of_int epoch);
-            ("outcome", Callout.outcome_label decision) ])
-      !dups;
     if !bypasses > 0 then begin
       t.bypasses <- t.bypasses + !bypasses;
       Grid_obs.Obs.incr t.obs ~by:(float_of_int !bypasses) "authz_cache_bypass_total"
@@ -413,7 +385,7 @@ let with_cache_many t ?(scope = "authz") (backend : Callout.Batch.t) : Callout.B
     end;
     results
   in
-  Callout.Batch.make ~single ~many
+  Callout.Batch.of_many many
 
 let pp ppf t =
   let lookups = t.hits + t.misses in

@@ -44,21 +44,16 @@ val create :
     cache. [now] is typically the engine clock. Raises
     [Invalid_argument] on non-positive capacity or ttl. *)
 
-val with_cache : t -> ?scope:string -> Callout.t -> Callout.t
-(** Memoize a callout through the cache. [scope] (default ["authz"])
-    partitions the key space when one cache serves several callouts
-    backed by different policy (e.g. the gatekeeper PEP and the job
-    manager's mode callout). *)
-
-val with_cache_many : t -> ?scope:string -> Callout.Batch.t -> Callout.Batch.t
-(** Batched sibling of {!with_cache}: the single lane is exactly
-    [with_cache t ~scope]; the many lane classifies the whole batch in
-    one sweep — hits served from the table, credential bypasses and
-    (representative) misses shipped to the backend's many lane as one
-    sub-batch, within-batch duplicate keys collapsed onto one backend
-    ask and answered like the cache hits they would have been
-    sequentially. Answers come back in request order; bypassed queries
-    are never stored. *)
+val with_cache : t -> ?scope:string -> Callout.Batch.t -> Callout.Batch.t
+(** Memoize a batch callout through the cache; a single consultation is
+    a batch of one. One sweep per batch: hits are served from the table,
+    credential bypasses and misses go to the backend's many lane as one
+    sub-batch, and within-batch duplicate keys collapse onto one backend
+    ask, answered like the cache hits they would have been one by one.
+    Answers come back in request order; bypassed queries are never
+    stored. [scope] (default ["authz"]) partitions the key space when one
+    cache serves several callouts backed by different policy (e.g. the
+    gatekeeper PEP and the job manager's mode callout). *)
 
 val invalidate : t -> unit
 (** Drop every entry, counting them as invalidations. *)

@@ -127,18 +127,18 @@ let counting (c : t) : t * (unit -> int) =
 
 (* --- Batched decisions ------------------------------------------------- *)
 
-(* The batch decision API. A [Batch.t] carries two lanes over the same
-   policy: the single-shot callout every existing integration keeps
-   using, and [evaluate_many], which answers a whole query array in one
-   call so a backend can amortize — sort by subject for index locality,
-   dedupe policy-identical questions, reuse evaluation scratch state —
-   where the single-shot path pays per decision.
+(* The batch decision API. Every layer of the decision stack implements
+   one lane: [many], which answers a whole query array in one call so a
+   backend can amortize — sort by subject for index locality, dedupe
+   policy-identical questions, reuse evaluation scratch state. A single
+   consultation is a batch of one, and the layers answer a one-element
+   batch without building their duplicate-collapsing tables.
 
-   Contract: [evaluate_many b qs] answers element-wise exactly what
-   [Array.map (callout b) qs] would (decision and reason), and
-   [results.(i)] always answers [qs.(i)] — internal partitioning or
-   reordering never leaks into the returned array. The QCheck suite in
-   [test_batch] holds every backend to both properties. *)
+   Contract: [results.(i)] always answers [qs.(i)] — internal
+   partitioning or reordering never leaks into the returned array — and
+   every answer, decision and reason, is the one the reference
+   evaluator gives. The QCheck suite in [test_batch] holds every backend
+   to both properties. *)
 module Batch = struct
   type callout = t
 
@@ -147,24 +147,48 @@ module Batch = struct
     many : query array -> decision array;
   }
 
-  (* A native batch implementation: [many] must agree element-wise with
-     [single]. *)
   let make ~single ~many = { single; many }
 
-  (* The derived fallback: any plain callout becomes a batch by mapping
-     the single-shot path — no amortization, full compatibility. *)
+  (* The only lane is [many]; a single consultation is a batch of one. *)
+  let of_many many = { single = (fun q -> (many [| q |]).(0)); many }
+
+  (* Any plain callout becomes a batch by mapping it — no amortization,
+     full compatibility. *)
   let of_callout (c : callout) = { single = c; many = (fun qs -> Array.map c qs) }
 
-  let callout b = b.single
   let check b q = b.single q
   let evaluate_many b qs = if Array.length qs = 0 then [||] else b.many qs
 end
 
-(* Full observability wrapper: the callout is the paper's PEP seam, so this
-   is where every authorization decision is counted and timed. The span
-   nests under whatever stage is current (the JMI's start/manage span),
-   and the decision lands in authz_decisions_total split by action,
-   outcome and backend. *)
+(* --- Policy decisions -------------------------------------------------- *)
+
+(* A combined policy decision as a callout answer: denial messages name
+   the denying source. *)
+let of_combined_decision = function
+  | Grid_policy.Combine.Permit -> permitted
+  | Grid_policy.Combine.Deny { source; reason } ->
+    Error (Denied (Printf.sprintf "%s: %s" source (Grid_policy.Eval.reason_to_string reason)))
+
+(* Denial interning: a PEP answers the same few distinct (source,
+   reason) denials over and over, so the message is rendered once per
+   distinct combined decision and the resulting callout decision value
+   shared thereafter — structurally identical to what
+   [of_combined_decision] would build fresh. The table is capped (an
+   adversarial reason stream cannot grow it without bound); PEPs reset it
+   on reload, since a new policy makes old denial shapes unreachable. *)
+let intern_cap = 1024
+
+let intern_decision tbl = function
+  | Grid_policy.Combine.Permit -> permitted
+  | Grid_policy.Combine.Deny _ as d -> begin
+    match Hashtbl.find_opt tbl d with
+    | Some decision -> decision
+    | None ->
+      let decision = of_combined_decision d in
+      if Hashtbl.length tbl < intern_cap then Hashtbl.add tbl d decision;
+      decision
+  end
+
 (* The label vocabulary is a fixed four-element set; labels are drawn
    from one interned array so [outcome_label] never allocates and every
    metric carrying an outcome shares the same string values. *)
@@ -334,51 +358,27 @@ let decision_label_table ~backend =
         outcome_labels)
     actions
 
-let span_attr_table ~backend =
-  Array.of_list
-    (List.map
-       (fun action ->
-         [ ("backend", backend); ("action", Grid_policy.Types.Action.to_string action) ])
-       Grid_policy.Types.Action.all)
+(* Full observability wrapper: the callout is the paper's PEP seam, so this
+   is where every authorization decision is counted and timed. The span
+   nests under whatever stage is current (the JMI's start/manage span),
+   and the decisions land in authz_decisions_total split by action,
+   outcome and backend.
 
-let instrument ?(backend = "pep") ?epoch ~obs (c : t) : t =
-  if not (Grid_obs.Obs.enabled obs) then c
-  else begin
-    let labels = decision_label_table ~backend in
-    let span_attrs = span_attr_table ~backend in
-    fun q ->
-      let slot = action_slot q.action in
-      let action = Grid_policy.Types.Action.to_string q.action in
-      let decision =
-        Grid_obs.Obs.with_span obs ~attrs:span_attrs.(slot) "authz.callout"
-          (fun span ->
-            let decision = c q in
-            Grid_obs.Span.set_attr span "outcome" (outcome_label decision);
-            decision)
-      in
-      Grid_obs.Obs.incr obs ~labels:labels.(slot).(outcome_index decision)
-        "authz_decisions_total";
-      Grid_obs.Obs.emit obs ~layer:"callout" "authz.decision"
-        (decision_attrs ?epoch ~backend ~action q decision);
-      decision
-  end
-
-(* Batched sibling of {!instrument}. The whole batch runs under one
-   ["authz.batch"] span; counters are incremented in bulk per
-   (action, outcome) cell, but the ["authz.decision"] wide event is
-   still emitted per decision — the online safety monitor re-derives
-   each answer from that record, so batching must not thin it out. *)
-let instrument_batch ?(backend = "pep") ?epoch ~obs (b : Batch.t) : Batch.t =
+   The whole batch runs under one ["authz.callout"] span; counters are
+   incremented in bulk per (action, outcome) cell, but the
+   ["authz.decision"] wide event is emitted per decision — the online
+   safety monitor re-derives each answer from that record, so batching
+   must not thin it out. *)
+let instrument ?(backend = "pep") ?epoch ~obs (b : Batch.t) : Batch.t =
   if not (Grid_obs.Obs.enabled obs) then b
   else begin
-    let single = instrument ~backend ?epoch ~obs (Batch.callout b) in
     let labels = decision_label_table ~backend in
     let many qs =
       let n = Array.length qs in
       let decisions =
         Grid_obs.Obs.with_span obs
           ~attrs:[ ("backend", backend); ("size", string_of_int n) ]
-          "authz.batch"
+          "authz.callout"
           (fun _ -> b.Batch.many qs)
       in
       let counts = Array.make_matrix 4 (Array.length outcome_labels) 0 in
@@ -403,5 +403,5 @@ let instrument_batch ?(backend = "pep") ?epoch ~obs (b : Batch.t) : Batch.t =
         counts;
       decisions
     in
-    Batch.make ~single ~many
+    Batch.of_many many
   end

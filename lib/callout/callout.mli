@@ -82,14 +82,14 @@ val failing : message:string -> t
 val counting : t -> t * (unit -> int)
 (** Wrap a callout with an invocation counter. *)
 
-(** Batched decisions: a two-lane callout whose [many] lane answers a
-    whole [query array] in one call, with the contract that
-    [evaluate_many b qs] is element-wise equal (decision and reason) to
-    [Array.map (check b) qs] and preserves order. Backends that can
-    amortize work across a batch (shared policy-index probes, per-batch
-    dedupe, one cache pass) implement [many] natively; any plain
-    {!type:t} lifts via {!Batch.of_callout} with the derived
-    (non-amortized) lane, so every existing callout keeps working. *)
+(** Batched decisions: the one lane every layer of the decision stack
+    implements. A [Batch.t]'s [many] answers a whole [query array] in one
+    call, in request order, so a backend can amortize work across the
+    batch (shared policy-index probes, per-batch dedupe, one cache pass).
+    A single consultation is a batch of one: {!Batch.of_many} derives
+    [single] as [fun q -> (many [|q|]).(0)], and each layer answers a
+    one-element batch without building its duplicate-collapsing table.
+    Any plain {!type:t} lifts via {!Batch.of_callout}. *)
 module Batch : sig
   type callout = t
 
@@ -99,19 +99,34 @@ module Batch : sig
   }
 
   val make : single:callout -> many:(query array -> decision array) -> t
-  (** [many] must be element-wise equivalent to mapping [single] and
-      must return the answers in request order. *)
+  (** Wrap both fields at once, e.g. to time each lane of an existing
+      batch. [single] must answer what [many] answers for a one-element
+      batch. *)
+
+  val of_many : (query array -> decision array) -> t
+  (** The batch whose single lane is a batch of one. *)
 
   val of_callout : callout -> t
-  (** Derived fallback: [many] is [Array.map] over the single lane. *)
+  (** Lift a plain callout: [many] is [Array.map] over it. *)
 
-  val callout : t -> callout
   val check : t -> callout
 
   val evaluate_many : t -> query array -> decision array
   (** Answers in request order; [[||]] for the empty batch without
       touching the backend. *)
 end
+
+val of_combined_decision : Grid_policy.Combine.combined_decision -> decision
+(** A combined policy decision as a callout answer; a denial's message
+    names the denying source. *)
+
+val intern_decision :
+  (Grid_policy.Combine.combined_decision, decision) Hashtbl.t ->
+  Grid_policy.Combine.combined_decision ->
+  decision
+(** {!of_combined_decision} through a PEP's denial-interning table:
+    repeated denials share one rendered decision value. The table is
+    capped at 1024 entries; PEPs reset it on reload. *)
 
 val outcome_label : decision -> string
 (** ["permitted"] / ["denied"] / ["system_error"] / ["bad_configuration"]:
@@ -163,20 +178,14 @@ val credential_expiry : Grid_gsi.Credential.t -> float option
 (** Earliest [not_after] across the presented chain; [None] for an
     empty chain. *)
 
-val instrument : ?backend:string -> ?epoch:(unit -> int) -> obs:Grid_obs.Obs.t -> t -> t
-(** The timed sibling of {!counting}: wrap a callout so every invocation
-    opens an ["authz.callout"] span, increments
-    [authz_decisions_total{action,outcome,backend}] and emits an
-    ["authz.decision"] wide event carrying the full request, the
-    outcome, the policy epoch sampled from [epoch] and the requesting
-    credential's expiry — the record the online safety monitor checks.
-    A disabled observer returns the callout unchanged. *)
-
-val instrument_batch :
+val instrument :
   ?backend:string -> ?epoch:(unit -> int) -> obs:Grid_obs.Obs.t -> Batch.t -> Batch.t
-(** Batched sibling of {!instrument}: the single lane is instrumented
-    per-decision as usual; the many lane runs the whole batch under one
-    ["authz.batch"] span and bulk-increments
-    [authz_decisions_total{action,outcome,backend}] per cell, but still
-    emits one ["authz.decision"] wide event per decision — the safety
-    monitor's input must not be thinned out by batching. *)
+(** The timed sibling of {!counting}: every batch (a single consultation
+    is a batch of one) runs under one ["authz.callout"] span carrying
+    [backend] and [size]; [authz_decisions_total{action,outcome,backend}]
+    is incremented per decision (in bulk per cell), and every decision
+    emits an ["authz.decision"] wide event carrying the full request, the
+    outcome, the policy epoch sampled from [epoch] and the requesting
+    credential's expiry — the record the online safety monitor checks,
+    never thinned out by batching. A disabled observer returns the batch
+    unchanged. *)

@@ -19,25 +19,17 @@ type binding = {
 
 type t = { bindings : binding list }
 
-exception Parse_error of { line : int; message : string }
-
+(* The first malformed line is reported by number; nothing is raised. *)
 let load text =
-  let bindings =
-    List.map
-      (fun (lineno, line) ->
-        match Grid_util.Strings.split_whitespace line with
-        | [ callout_type; library; symbol ] -> { callout_type; library; symbol }
-        | _ ->
-          raise
-            (Parse_error
-               { line = lineno; message = "expected: <type> <library> <symbol>" }))
-      (Grid_util.Strings.config_lines text)
+  let rec go acc = function
+    | [] -> Ok { bindings = List.rev acc }
+    | (lineno, line) :: rest -> begin
+      match Grid_util.Strings.split_whitespace line with
+      | [ callout_type; library; symbol ] -> go ({ callout_type; library; symbol } :: acc) rest
+      | _ -> Error (Printf.sprintf "line %d: expected: <type> <library> <symbol>" lineno)
+    end
   in
-  { bindings }
-
-let load_result text =
-  try Ok (load text)
-  with Parse_error { line; message } -> Error (Printf.sprintf "line %d: %s" line message)
+  go [] (Grid_util.Strings.config_lines text)
 
 let bindings t = t.bindings
 

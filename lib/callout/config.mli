@@ -9,13 +9,9 @@ type binding = {
 
 type t
 
-exception Parse_error of { line : int; message : string }
-
-val load : string -> t
+val load : string -> (t, string) result
 (** Parse configuration text ([<type> <library> <symbol>] lines, [#]
-    comments). Raises {!Parse_error}. *)
-
-val load_result : string -> (t, string) result
+    comments); [Error] names the first malformed line. *)
 
 val bindings : t -> binding list
 val find : t -> string -> binding option

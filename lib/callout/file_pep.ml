@@ -12,34 +12,6 @@
    [reference] keeps the uncompiled scan for differential tests and the
    T16 benchmark baseline. *)
 
-let decision_to_callout = function
-  | Grid_policy.Combine.Permit -> Callout.permitted
-  | Grid_policy.Combine.Deny { source; reason } ->
-    Error
-      (Callout.Denied
-         (Printf.sprintf "%s: %s" source (Grid_policy.Eval.reason_to_string reason)))
-
-(* Denial interning: the hot path answers the same few distinct
-   (source, reason) denials over and over, so the message is rendered
-   once per distinct combined decision and the resulting callout
-   decision value shared thereafter — structurally identical to what
-   [decision_to_callout] would build fresh. The table is capped (an
-   adversarial reason stream cannot grow it without bound) and reset on
-   reload, since a new policy makes old denial shapes unreachable. *)
-let intern_cap = 1024
-
-let intern_decision (tbl : (Grid_policy.Combine.combined_decision, Callout.decision) Hashtbl.t)
-    = function
-  | Grid_policy.Combine.Permit -> Callout.permitted
-  | Grid_policy.Combine.Deny _ as d -> begin
-    match Hashtbl.find_opt tbl d with
-    | Some decision -> decision
-    | None ->
-      let decision = decision_to_callout d in
-      if Hashtbl.length tbl < intern_cap then Hashtbl.add tbl d decision;
-      decision
-  end
-
 module Compiled = struct
   type t = {
     obs : Grid_obs.Obs.t option;
@@ -83,23 +55,20 @@ module Compiled = struct
     Hashtbl.reset t.interned;
     note_epoch t
 
-  let callout t : Callout.t =
-   fun query ->
-    intern_decision t.interned
-      (Grid_policy.Combine.evaluate_compiled ?obs:t.obs t.sources
-         (Callout.to_policy_request query))
-
-  (* Native batch lane: structurally identical questions are collapsed
-     once, up front, so the per-source pipeline and the denial interning
-     each run once per *distinct* request rather than once per query —
-     the dominant saving on the repetitive streams job managers emit.
-     [Combine.evaluate_compiled_many] still sorts and groups what
-     remains by subject. *)
+  (* The only lane: structurally identical questions are collapsed once,
+     up front, so the per-source pipeline and the denial interning each
+     run once per *distinct* request rather than once per query — the
+     dominant saving on the repetitive streams job managers emit.
+     [Combine.eval_many] still sorts and groups what remains by subject.
+     A single consultation is a batch of one and skips the collapsing. *)
   let batch t : Callout.Batch.t =
-    let single = callout t in
+    let eval requests =
+      Array.map (Callout.intern_decision t.interned)
+        (Grid_policy.Combine.eval_many ?obs:t.obs t.sources requests)
+    in
     let many qs =
       let n = Array.length qs in
-      if n = 0 then [||]
+      if n = 1 then eval [| Callout.to_policy_request qs.(0) |]
       else begin
         let requests = Array.map Callout.to_policy_request qs in
         let rep = Array.make n 0 in
@@ -117,15 +86,13 @@ module Compiled = struct
             distinct_rev := requests.(i) :: !distinct_rev;
             incr count
         done;
-        let distinct = Array.of_list (List.rev !distinct_rev) in
-        let answers =
-          Array.map (intern_decision t.interned)
-            (Grid_policy.Combine.evaluate_compiled_many ?obs:t.obs t.sources distinct)
-        in
+        let answers = eval (Array.of_list (List.rev !distinct_rev)) in
         Array.init n (fun i -> answers.(rep.(i)))
       end
     in
-    Callout.Batch.make ~single ~many
+    Callout.Batch.of_many many
+
+  let callout t = Callout.Batch.check (batch t)
 end
 
 let of_sources ?obs (sources : Grid_policy.Combine.source list) : Callout.t =
@@ -136,7 +103,7 @@ let of_sources ?obs (sources : Grid_policy.Combine.source list) : Callout.t =
    measures the gap. *)
 let reference ?obs (sources : Grid_policy.Combine.source list) : Callout.t =
  fun query ->
-  decision_to_callout
+  Callout.of_combined_decision
     (Grid_policy.Combine.evaluate ?obs sources (Callout.to_policy_request query))
 
 let of_policy ?obs ~name policy = of_sources ?obs [ Grid_policy.Combine.source ~name policy ]

@@ -12,14 +12,15 @@ module Compiled : sig
   type t
 
   val create : ?obs:Grid_obs.Obs.t -> Grid_policy.Combine.source list -> t
-  val callout : t -> Callout.t
-
   val batch : t -> Callout.Batch.t
-  (** Native batch lane: one amortized pass over the compiled sources
-      per batch ({!Grid_policy.Combine.evaluate_compiled_many}), with
-      denial decisions interned so repeated reasons share one rendered
-      message. Element-wise equal to mapping {!callout} over the batch,
-      in request order. *)
+  (** The PEP's one lane: one amortized pass over the compiled sources
+      per batch ({!Grid_policy.Combine.eval_many}), with structurally
+      equal requests decided once and denial decisions interned so
+      repeated reasons share one rendered message. Answers in request
+      order; a single consultation is a batch of one. *)
+
+  val callout : t -> Callout.t
+  (** [Callout.Batch.check (batch t)]. *)
 
   val epoch : t -> int
 

@@ -27,6 +27,7 @@ module Store = Grid_store
 module Rebac = Grid_rebac
 module Sts = Grid_sts
 
+module Site = Site
 module Workload = Workload
 module Soak = Soak
 module Population = Population

@@ -42,7 +42,12 @@ let policy_of_backend ~obs = function
     Some
       { lane = Grid_callout.File_pep.Compiled.batch pep;
         label = "flat_file";
-        advice = Some (Grid_callout.File_pep.advice sources);
+        (* Read the live sources per query: after a reload the advice
+           explains against the policy that actually decided. *)
+        advice =
+          Some
+            (fun q ->
+              Grid_callout.File_pep.advice (Grid_callout.File_pep.Compiled.sources pep) q);
         epoch = Some (fun () -> Grid_callout.File_pep.Compiled.epoch pep);
         revision = None;
         reload = Some (Grid_callout.File_pep.Compiled.reload pep) }

@@ -147,9 +147,13 @@ let request_of_event (e : Grid_obs.Event.t) : Grid_policy.Types.request option =
 type answerer = Grid_policy.Types.request -> bool option
 
 let flat_file_answerer sources : answerer =
+  (* Its own compilation of the epoch's sources, independent of the
+     PEP's. Compiling draws from the process-global epoch counter the
+     PEPs stamp from, so evaluating uncompiled here instead would
+     renumber every later epoch of the campaign. *)
   let compiled = Grid_policy.Combine.compile_sources sources in
   fun request ->
-    Some (Grid_policy.Combine.is_permit (Grid_policy.Combine.evaluate_compiled compiled request))
+    Some (Grid_policy.Combine.is_permit (Grid_policy.Combine.eval_many compiled [| request |]).(0))
 
 let rebac_answerer sources : answerer =
   let plan = Grid_rebac.Compile.of_sources sources in
@@ -280,7 +284,7 @@ let run (config : config) : report =
   (* Default-deny mis-wiring: while armed, the next Denied answer from a
      real PEP is flipped to a permit — under the live request's
      correlation id, exactly the bug class the monitor must catch. The
-     flip wraps both lanes of the policy engine, inside the token gate. *)
+     flip wraps the policy engine's lane, inside the token gate. *)
   let flip_next_denial = ref false in
   let flip_denials lane =
     let flip = function
@@ -289,9 +293,8 @@ let run (config : config) : report =
         Grid_callout.Callout.permitted
       | decision -> decision
     in
-    Grid_callout.Callout.Batch.make
-      ~single:(fun q -> flip (Grid_callout.Callout.Batch.check lane q))
-      ~many:(fun qs -> Array.map flip (Grid_callout.Callout.Batch.evaluate_many lane qs))
+    Grid_callout.Callout.Batch.of_many (fun qs ->
+        Array.map flip (Grid_callout.Callout.Batch.evaluate_many lane qs))
   in
   let request_timeout =
     match config.faults with No_faults -> None | Light | Heavy -> Some 0.25

@@ -13,11 +13,10 @@ type t =
   | Gt2_baseline
   | Extended of {
       authorization : Grid_callout.Callout.Batch.t;
-      (* Two-lane callout: the single lane answers the per-request
-         consultations, the many lane lets the job manager authorize a
-         whole management batch in one amortized pass. Plain callouts
-         enter through [extended], which lifts them with the derived
-         (map-the-single-lane) many lane. *)
+      (* The batch callout: the job manager authorizes a whole management
+         batch in one amortized pass, and a per-request consultation is a
+         batch of one. Plain callouts enter through [extended], which
+         lifts them with [Batch.of_callout]. *)
       (* Optional policy-derived-enforcement hook (the paper's Section 7
          "GT3" direction): given a query that was just authorized,
          return the policy clause the decision rested on so the JMI can
@@ -63,7 +62,7 @@ let instrument ?epoch ~obs = function
   | Extended { authorization; advice; backend } ->
     Extended
       { authorization =
-          Grid_callout.Callout.instrument_batch ~backend ?epoch ~obs authorization;
+          Grid_callout.Callout.instrument ~backend ?epoch ~obs authorization;
         advice;
         backend }
 
@@ -76,6 +75,6 @@ let with_cache ~cache = function
   | Extended { authorization; advice; backend } ->
     Extended
       { authorization =
-          Grid_callout.Cache.with_cache_many cache ~scope:backend authorization;
+          Grid_callout.Cache.with_cache cache ~scope:backend authorization;
         advice;
         backend }

@@ -4,8 +4,8 @@ type t =
   | Gt2_baseline
   | Extended of {
       authorization : Grid_callout.Callout.Batch.t;
-          (** two-lane callout: per-request consultations on the single
-              lane, whole management batches on the many lane *)
+          (** the batch callout: whole management batches in one call, a
+              per-request consultation as a batch of one *)
       advice : (Grid_callout.Callout.query -> Grid_policy.Types.clause option) option;
           (** policy-derived-enforcement hook: the clause an authorized
               decision rested on, for sandbox configuration *)
@@ -20,8 +20,8 @@ val extended :
   Grid_callout.Callout.t ->
   t
 (** [backend] defaults to ["custom"]. The plain callout is lifted with
-    the derived many lane ({!Grid_callout.Callout.Batch.of_callout}), so
-    every existing callout keeps working unchanged. *)
+    {!Grid_callout.Callout.Batch.of_callout}, so every existing callout
+    keeps working unchanged. *)
 
 val extended_batch :
   ?advice:(Grid_callout.Callout.query -> Grid_policy.Types.clause option) ->
@@ -29,7 +29,7 @@ val extended_batch :
   Grid_callout.Callout.Batch.t ->
   t
 (** {!extended} for a natively batched callout (e.g.
-    {!Grid_callout.File_pep.Compiled.batch}): the many lane answers whole
+    {!Grid_callout.File_pep.Compiled.batch}), which answers whole
     management batches in one amortized pass. *)
 
 val is_extended : t -> bool

@@ -81,7 +81,10 @@ let create ?(name = "resource") ?network ?gatekeeper_pep ?allocation ?obs
   let gatekeeper_pep =
     match (gatekeeper_pep, authz_cache) with
     | Some pep, Some cache ->
-      Some (Grid_callout.Cache.with_cache cache ~scope:"gatekeeper" pep)
+      Some
+        (Grid_callout.Callout.Batch.check
+           (Grid_callout.Cache.with_cache cache ~scope:"gatekeeper"
+              (Grid_callout.Callout.Batch.of_callout pep)))
     | pep, _ -> pep
   in
   let gatekeeper =
@@ -231,34 +234,27 @@ let submit_direct t ~credential ~rsl =
    validate (chain, expiry, revocation, challenge freshness) and assert
    the claimed requester identity. A credential-less call is reserved
    for in-process trusted callers (tests, monitoring). *)
-let manage_direct t ~requester ?credential ~contact action =
-  Grid_obs.Obs.ensure_correlation t.obs (fun () ->
-  let result =
-    match find_jmi t contact with
-    | None -> Error (Protocol.Unknown_job contact)
-    | Some jmi -> begin
-      match credential with
-      | None -> Job_manager.manage jmi ~requester action
-      | Some credential -> begin
-        match Gatekeeper.authenticate t.gatekeeper credential with
-        | Error e ->
-          Error
-            (Protocol.Management_authentication_failed (Grid_gsi.Authn.error_to_string e))
-        | Ok ctx ->
-          if not (Grid_gsi.Dn.equal ctx.Grid_gsi.Authn.peer requester) then
-            Error
-              (Protocol.Management_authentication_failed
-                 (Printf.sprintf "credential authenticates %s, request claims %s"
-                    (Grid_gsi.Dn.to_string ctx.Grid_gsi.Authn.peer)
-                    (Grid_gsi.Dn.to_string requester)))
-          else Job_manager.manage jmi ~requester ~credential action
-      end
-    end
-  in
-  (* State-changing management outcomes are part of the job's durable
-     history (who cancelled/signalled, and whether policy allowed it);
-     status reads are not journalled. *)
-  (match action with
+let authenticate_requester t ~requester = function
+  | None -> Ok ()
+  | Some credential -> begin
+    match Gatekeeper.authenticate t.gatekeeper credential with
+    | Error e ->
+      Error (Protocol.Management_authentication_failed (Grid_gsi.Authn.error_to_string e))
+    | Ok ctx ->
+      if Grid_gsi.Dn.equal ctx.Grid_gsi.Authn.peer requester then Ok ()
+      else
+        Error
+          (Protocol.Management_authentication_failed
+             (Printf.sprintf "credential authenticates %s, request claims %s"
+                (Grid_gsi.Dn.to_string ctx.Grid_gsi.Authn.peer)
+                (Grid_gsi.Dn.to_string requester)))
+  end
+
+(* State-changing management outcomes are part of the job's durable
+   history (who cancelled/signalled, and whether policy allowed it);
+   status reads are not journalled. *)
+let journal_management t ~contact ~requester action result =
+  match action with
   | Protocol.Cancel | Protocol.Signal _ ->
     if Option.is_some t.store && Hashtbl.mem t.jmis contact then
       record_event t
@@ -272,8 +268,21 @@ let manage_direct t ~requester ?credential ~contact action =
                | Error (Protocol.Not_authorized _) -> "denied"
                | Error _ -> "error");
              at = now t })
-  | Protocol.Status -> ());
-  result)
+  | Protocol.Status -> ()
+
+let manage_direct t ~requester ?credential ~contact action =
+  Grid_obs.Obs.ensure_correlation t.obs (fun () ->
+      let result =
+        match find_jmi t contact with
+        | None -> Error (Protocol.Unknown_job contact)
+        | Some jmi -> begin
+          match authenticate_requester t ~requester credential with
+          | Error e -> Error e
+          | Ok () -> Job_manager.manage jmi ~requester ?credential action
+        end
+      in
+      journal_management t ~contact ~requester action result;
+      result)
 
 (* One element of a management batch: the same inputs [manage_direct]
    takes, as data. *)
@@ -288,8 +297,8 @@ type manage_request = {
    first, then authorize-and-perform all surviving requests through
    [Job_manager.manage_many] — one callout batch for the whole tick in
    extended mode. Lookup failures and authentication refusals answer in
-   place without consuming a callout, exactly as the single-shot path;
-   journalling follows the same state-changing-actions-only rule.
+   place without consuming a callout, exactly as the single-request
+   path; journalling follows the same state-changing-actions-only rule.
    Results preserve request order. *)
 let manage_many_direct t (requests : manage_request array) :
     (Protocol.management_reply, Protocol.management_error) result array =
@@ -302,25 +311,9 @@ let manage_many_direct t (requests : manage_request array) :
         match find_jmi t r.contact with
         | None -> results.(i) <- Error (Protocol.Unknown_job r.contact)
         | Some jmi -> begin
-          match r.credential with
-          | None -> ready := (i, jmi) :: !ready
-          | Some credential -> begin
-            match Gatekeeper.authenticate t.gatekeeper credential with
-            | Error e ->
-              results.(i) <-
-                Error
-                  (Protocol.Management_authentication_failed
-                     (Grid_gsi.Authn.error_to_string e))
-            | Ok ctx ->
-              if not (Grid_gsi.Dn.equal ctx.Grid_gsi.Authn.peer r.requester) then
-                results.(i) <-
-                  Error
-                    (Protocol.Management_authentication_failed
-                       (Printf.sprintf "credential authenticates %s, request claims %s"
-                          (Grid_gsi.Dn.to_string ctx.Grid_gsi.Authn.peer)
-                          (Grid_gsi.Dn.to_string r.requester)))
-              else ready := (i, jmi) :: !ready
-          end
+          match authenticate_requester t ~requester:r.requester r.credential with
+          | Error e -> results.(i) <- Error e
+          | Ok () -> ready := (i, jmi) :: !ready
         end
       done;
       let ready = Array.of_list (List.rev !ready) in
@@ -335,21 +328,7 @@ let manage_many_direct t (requests : manage_request array) :
       Array.iteri (fun k (i, _) -> results.(i) <- replies.(k)) ready;
       Array.iteri
         (fun i r ->
-          match r.action with
-          | Protocol.Cancel | Protocol.Signal _ ->
-            if Option.is_some t.store && Hashtbl.mem t.jmis r.contact then
-              record_event t
-                (Persist.Management
-                   { contact = r.contact;
-                     requester = r.requester;
-                     action = Protocol.management_action_to_string r.action;
-                     outcome =
-                       (match results.(i) with
-                       | Ok _ -> "ok"
-                       | Error (Protocol.Not_authorized _) -> "denied"
-                       | Error _ -> "error");
-                     at = now t })
-          | Protocol.Status -> ())
+          journal_management t ~contact:r.contact ~requester:r.requester r.action results.(i))
         requests;
       results)
 

@@ -65,31 +65,14 @@ let compile_sources = List.map compile_source
 let epoch_of (sources : compiled_source list) =
   List.fold_left (fun acc c -> max acc (Compile.epoch c.compiled)) 0 sources
 
-let evaluate_compiled ?obs (sources : compiled_source list) (request : Types.request) :
-    combined_decision =
-  let rec go = function
-    | [] -> Permit
-    | c :: rest -> begin
-      match
-        Eval.observed_with ?obs ~source:c.origin.name ~eval:(Compile.eval c.compiled)
-          request
-      with
-      | Eval.Permit -> go rest
-      | Eval.Deny reason -> Deny { source = c.origin.name; reason }
-    end
-  in
-  if sources = [] then Deny { source = "(none)"; reason = Eval.No_applicable_grant }
-  else go sources
-
 (* Batched conjunction, source-major: evaluate the whole pending batch
    against source 1, drop the requests it denied (recording the denial),
    and hand only the survivors to source 2, and so on. Element-wise this
-   answers exactly what [evaluate_compiled] answers — a request's first
-   denying source (in source order) is the one reported — while each
-   source sees one amortized [Compile.eval_many] pass instead of
-   per-request calls. Answers are scattered back by original index, so
-   batch order is preserved. *)
-let evaluate_compiled_many ?obs (sources : compiled_source list)
+   answers exactly what [evaluate] answers — a request's first denying
+   source (in source order) is the one reported — while each source sees
+   one amortized [Compile.eval_many] pass. Answers are scattered back by
+   original index, so batch order is preserved. *)
+let eval_many ?obs (sources : compiled_source list)
     (requests : Types.request array) : combined_decision array =
   let n = Array.length requests in
   if n = 0 then [||]
@@ -104,7 +87,7 @@ let evaluate_compiled_many ?obs (sources : compiled_source list)
         if !n_pending > 0 then begin
           let batch = Array.init !n_pending (fun k -> requests.(pending.(k))) in
           let decisions =
-            Eval.observed_many_with ?obs ~source:c.origin.name
+            Eval.observed_with ?obs ~source:c.origin.name
               ~eval_many:(Compile.eval_many c.compiled)
               batch
           in

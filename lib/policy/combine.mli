@@ -42,17 +42,13 @@ val epoch_of : compiled_source list -> int
 (** The newest policy epoch across the sources (0 when empty); bumps
     whenever any source is recompiled. *)
 
-val evaluate_compiled :
-  ?obs:Grid_obs.Obs.t -> compiled_source list -> Types.request -> combined_decision
-(** Same contract as {!evaluate}, through the compiled index. *)
-
-val evaluate_compiled_many :
+val eval_many :
   ?obs:Grid_obs.Obs.t ->
   compiled_source list ->
   Types.request array ->
   combined_decision array
-(** Element-wise identical to mapping {!evaluate_compiled}, in request
-    order, evaluated source-major: each source answers one amortized
-    {!Compile.eval_many} pass over the requests every earlier source
-    permitted; the first denying source (in source order) is the one
-    reported, exactly as in the single-shot path. *)
+(** Element-wise identical to mapping {!evaluate} over the sources'
+    origins, in request order, evaluated source-major: each source
+    answers one amortized {!Compile.eval_many} pass over the requests
+    every earlier source permitted; the first denying source (in source
+    order) is the one reported. *)

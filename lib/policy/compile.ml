@@ -450,12 +450,6 @@ let eval_many (t : t) (requests : Types.request array) : Eval.decision array =
     results
   end
 
-let observed ?obs ?source t request =
-  Eval.observed_with ?obs ?source ~eval:(eval t) request
-
-let observed_many ?obs ?source t requests =
-  Eval.observed_many_with ?obs ?source ~eval_many:(eval_many t) requests
-
 (* --- Reloadable store -------------------------------------------------- *)
 
 module Store = struct

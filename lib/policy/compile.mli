@@ -38,16 +38,6 @@ val eval_many : t -> Types.request array -> Eval.decision array
     rendering and index probe are shared per group, and one scratch view
     array serves the whole batch. *)
 
-val observed :
-  ?obs:Grid_obs.Obs.t -> ?source:string -> t -> Types.request -> Eval.decision
-(** {!eval} under the same span/counter instrumentation as
-    {!Eval.observed}. *)
-
-val observed_many :
-  ?obs:Grid_obs.Obs.t -> ?source:string -> t -> Types.request array -> Eval.decision array
-(** {!eval_many} under the bulk instrumentation of
-    {!Eval.observed_many_with}. *)
-
 (** A mutable slot holding the current compilation of a reloadable
     policy; [reload] recompiles and therefore bumps the epoch. *)
 module Store : sig

@@ -296,23 +296,12 @@ let explain (policy : Types.t) (request : Types.request) : explanation =
 
 let decision_label = function Permit -> "permit" | Deny _ -> "deny"
 
-(* Generalized over the evaluator so the compiled path (Compile.eval)
-   lands in the same span and counter vocabulary as the reference. *)
-let observed_with ?(obs = Grid_obs.Obs.noop) ?(source = "policy") ~eval request =
-  if not (Grid_obs.Obs.enabled obs) then eval request
-  else
-    Grid_obs.Obs.with_span obs ~attrs:[ ("source", source) ] "policy.eval" (fun _ ->
-        let decision = eval request in
-        Grid_obs.Obs.incr obs
-          ~labels:[ ("source", source); ("decision", decision_label decision) ]
-          "policy_eval_total";
-        decision)
-
-(* Batched sibling: one span for the whole batch, [policy_eval_total]
-   incremented in bulk per decision label — the counter totals stay
-   identical to running [observed_with] per request. *)
-let observed_many_with ?(obs = Grid_obs.Obs.noop) ?(source = "policy") ~eval_many requests
-    =
+(* Generalized over a batch evaluator so the compiled path
+   (Compile.eval_many) and the ReBAC path land in the same span and
+   counter vocabulary as the reference. One span covers the whole batch,
+   and [policy_eval_total] is incremented in bulk per decision label, so
+   the counter totals equal one increment per request. *)
+let observed_with ?(obs = Grid_obs.Obs.noop) ?(source = "policy") ~eval_many requests =
   if not (Grid_obs.Obs.enabled obs) then eval_many requests
   else
     Grid_obs.Obs.with_span obs ~attrs:[ ("source", source) ] "policy.eval" (fun _ ->
@@ -331,5 +320,7 @@ let observed_many_with ?(obs = Grid_obs.Obs.noop) ?(source = "policy") ~eval_man
             "policy_eval_total";
         decisions)
 
+(* The reference evaluator under the same instrumentation, as a batch
+   of one. *)
 let observed ?obs ?source policy request =
-  observed_with ?obs ?source ~eval:(evaluate policy) request
+  (observed_with ?obs ?source ~eval_many:(Array.map (evaluate policy)) [| request |]).(0)

@@ -58,22 +58,14 @@ val decision_label : decision -> string
 val observed_with :
   ?obs:Grid_obs.Obs.t ->
   ?source:string ->
-  eval:(Types.request -> decision) ->
-  Types.request ->
-  decision
-(** Run any evaluator under the ["policy.eval"] span and the
-    [policy_eval_total{source,decision}] counter — the hook the compiled
-    evaluator ({!Compile}) shares with the reference path. *)
-
-val observed_many_with :
-  ?obs:Grid_obs.Obs.t ->
-  ?source:string ->
   eval_many:(Types.request array -> decision array) ->
   Types.request array ->
   decision array
-(** Batched sibling of {!observed_with}: one ["policy.eval"] span for
-    the whole batch, with [policy_eval_total{source,decision}] bulk
-    incremented so counter totals match the per-request path. *)
+(** Run any batch evaluator under one ["policy.eval"] span, with
+    [policy_eval_total{source,decision}] incremented in bulk so the
+    counter totals equal one increment per request — the hook the
+    compiled evaluator ({!Compile}) and the ReBAC decision procedure
+    share with the reference path. *)
 
 val observed :
   ?obs:Grid_obs.Obs.t -> ?source:string -> Types.t -> Types.request -> decision

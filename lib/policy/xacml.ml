@@ -41,9 +41,10 @@
    the value "self" keeps its special meaning on MatchId="equal". A
    <Match> may carry several <Value> children for value sets. *)
 
-exception Error of string
+(* Raised inside the front end only; [parse] turns it into [Error]. *)
+exception Invalid of string
 
-let fail fmt = Printf.ksprintf (fun m -> raise (Error m)) fmt
+let fail fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt
 
 let match_id_to_op = function
   | "equal" -> Grid_rsl.Ast.Eq
@@ -147,12 +148,11 @@ let of_xml (root : Xml_lite.t) : Types.t =
   if root.Xml_lite.tag <> "Policy" then fail "root element must be <Policy>";
   List.concat_map parse_rule (Xml_lite.children_named root "Rule")
 
-let parse text : Types.t =
+let parse text : (Types.t, string) result =
   match Xml_lite.parse text with
-  | exception Xml_lite.Parse_error { pos; message } -> fail "XML error at %d: %s" pos message
-  | root -> of_xml root
-
-let parse_result text = try Ok (parse text) with Error m -> Error m
+  | exception Xml_lite.Parse_error { pos; message } ->
+    Error (Printf.sprintf "XML error at %d: %s" pos message)
+  | root -> ( try Ok (of_xml root) with Invalid m -> Error m)
 
 (* --- export ----------------------------------------------------------- *)
 

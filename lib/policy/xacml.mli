@@ -4,14 +4,8 @@
     the RSL-based concrete syntax produces, and exports policies back to
     XML. Evaluation, combination and every PEP are syntax-agnostic. *)
 
-exception Error of string
-
-val parse : string -> Types.t
-(** Raises {!Error} on malformed XML or unsupported constructs. *)
-
-val parse_result : string -> (Types.t, string) result
-
-val of_xml : Xml_lite.t -> Types.t
+val parse : string -> (Types.t, string) result
+(** [Error] on malformed XML or unsupported constructs. *)
 
 val to_xml : ?policy_id:string -> Types.t -> Xml_lite.t
 

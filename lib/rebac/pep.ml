@@ -19,10 +19,8 @@ type t = {
   mutable plan : Compile.t;
   mutable store : Store.t;
   mutable nsources : int;
-  (* Denial interning (same discipline as [File_pep]): messages for the
-     few distinct (source, reason) denials are rendered once and the
-     decision values shared; capped, and reset on reload because a new
-     policy makes old denial shapes unreachable. *)
+  (* Denial interning ([Callout.intern_decision]), reset on reload
+     because a new policy makes old denial shapes unreachable. *)
   interned : (Grid_policy.Combine.combined_decision, Grid_callout.Callout.decision) Hashtbl.t;
 }
 
@@ -64,70 +62,49 @@ let epoch t = Store.epoch t.store
 let revision t = Store.revision t.store
 let head t = Store.head t.store
 
-let decision_to_callout = function
-  | Grid_policy.Combine.Permit -> Grid_callout.Callout.permitted
-  | Grid_policy.Combine.Deny { source; reason } ->
-    Error
-      (Grid_callout.Callout.Denied
-         (Printf.sprintf "%s: %s" source (Grid_policy.Eval.reason_to_string reason)))
-
-let intern_cap = 1024
-
-let intern_decision t = function
-  | Grid_policy.Combine.Permit -> Grid_callout.Callout.permitted
-  | Grid_policy.Combine.Deny _ as d -> begin
-    match Hashtbl.find_opt t.interned d with
-    | Some decision -> decision
-    | None ->
-      let decision = decision_to_callout d in
-      if Hashtbl.length t.interned < intern_cap then Hashtbl.add t.interned d decision;
-      decision
-  end
-
 let decide_request ?budget ?consistency t request =
   match Compile.decide ?obs:t.obs ?budget ?consistency t.plan t.store request with
-  | Ok decision -> intern_decision t decision
+  | Ok decision -> Grid_callout.Callout.intern_decision t.interned decision
   | Error e ->
     Error
       (Grid_callout.Callout.System_error ("rebac: " ^ Store.check_error_to_string e))
 
-let callout_with ?budget ?consistency t : Grid_callout.Callout.t =
- fun query ->
-  decide_request ?budget ?consistency t (Grid_callout.Callout.to_policy_request query)
+(* The PEP's one lane. Graph expansion cannot share work across
+   distinct requests the way the compiled RSL index can, but management
+   ticks repeat the same (subject, action, jobowner, jobtag) question
+   across a job population — requests are plain data, so structurally
+   equal requests are decided once (one graph expansion per distinct
+   question, all within one snapshot) and the shared decision value
+   scattered to every duplicate slot, in request order. A single
+   consultation is a batch of one and skips the collapsing.
 
-(* The store is the single replica, so [Latest] already satisfies every
+   The store is the single replica, so [Latest] already satisfies every
    issued token; a caller pinning [At_least z] or [Snapshot z] gets the
    token-respecting variants. *)
-let callout t = callout_with t
-
-(* Native batch lane: graph expansion cannot share work across distinct
-   requests the way the compiled RSL index can, but management ticks
-   repeat the same (subject, action, jobowner, jobtag) question across a
-   job population — requests are plain data, so structurally equal
-   requests are decided once (one graph expansion per distinct question,
-   all within one snapshot) and the shared decision value scattered to
-   every duplicate slot, in request order. *)
-let batch_with ?budget ?consistency t : Grid_callout.Callout.Batch.t =
-  let single = callout_with ?budget ?consistency t in
+let batch ?budget ?consistency t : Grid_callout.Callout.Batch.t =
+  let decide = decide_request ?budget ?consistency t in
   let many qs =
     let n = Array.length qs in
-    let results = Array.make n Grid_callout.Callout.permitted in
-    let seen : (Grid_policy.Types.request, Grid_callout.Callout.decision) Hashtbl.t =
-      Hashtbl.create (min n 64)
-    in
-    for i = 0 to n - 1 do
-      let request = Grid_callout.Callout.to_policy_request qs.(i) in
-      match Hashtbl.find_opt seen request with
-      | Some decision -> results.(i) <- decision
-      | None ->
-        let decision = decide_request ?budget ?consistency t request in
-        Hashtbl.add seen request decision;
-        results.(i) <- decision
-    done;
-    results
+    if n = 1 then [| decide (Grid_callout.Callout.to_policy_request qs.(0)) |]
+    else begin
+      let results = Array.make n Grid_callout.Callout.permitted in
+      let seen : (Grid_policy.Types.request, Grid_callout.Callout.decision) Hashtbl.t =
+        Hashtbl.create (min n 64)
+      in
+      for i = 0 to n - 1 do
+        let request = Grid_callout.Callout.to_policy_request qs.(i) in
+        match Hashtbl.find_opt seen request with
+        | Some decision -> results.(i) <- decision
+        | None ->
+          let decision = decide request in
+          Hashtbl.add seen request decision;
+          results.(i) <- decision
+      done;
+      results
+    end
   in
-  Grid_callout.Callout.Batch.make ~single ~many
+  Grid_callout.Callout.Batch.of_many many
 
-let batch t = batch_with t
+let callout t = Grid_callout.Callout.Batch.check (batch t)
 
 let of_sources ?obs sources = callout (create ?obs sources)

@@ -28,23 +28,18 @@ val revision : t -> int
 val head : t -> Zookie.t
 (** The consistency token naming the current snapshot. *)
 
-val callout : t -> Grid_callout.Callout.t
-(** Decisions at the head snapshot. *)
-
-val callout_with :
-  ?budget:int -> ?consistency:Store.consistency -> t -> Grid_callout.Callout.t
-(** [consistency] pins decisions to a caller token ([At_least] /
-    [Snapshot]); [budget] overrides the expansion depth budget. *)
-
-val batch : t -> Grid_callout.Callout.Batch.t
-(** Native batch lane at the head snapshot: structurally equal requests
-    in a batch share one graph expansion (one decision per distinct
-    question), answers in request order — element-wise equal to mapping
-    {!callout}. *)
-
-val batch_with :
+val batch :
   ?budget:int -> ?consistency:Store.consistency -> t -> Grid_callout.Callout.Batch.t
-(** {!batch} under the same pinning knobs as {!callout_with}. *)
+(** The PEP's one lane: structurally equal requests in a batch share one
+    graph expansion (one decision per distinct question), answers in
+    request order; a single consultation is a batch of one.
+    [consistency] pins decisions to a caller token ([At_least] /
+    [Snapshot]), default the head snapshot; [budget] overrides the
+    expansion depth budget. *)
+
+val callout : t -> Grid_callout.Callout.t
+(** [Grid_callout.Callout.Batch.check (batch t)]: decisions at the head
+    snapshot. *)
 
 val of_sources : ?obs:Grid_obs.Obs.t -> Grid_policy.Combine.source list -> Grid_callout.Callout.t
 (** [callout (create ?obs sources)]. *)

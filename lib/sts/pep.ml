@@ -91,22 +91,11 @@ let checked_span ~obs ?validator ~sts_key ~audience ~now query =
   note ~obs query checked;
   checked
 
-let callout ?(obs = Obs.noop) ?validator ~sts_key ~audience ~now inner :
-    Callout.t =
- fun query ->
-  match checked_span ~obs ?validator ~sts_key ~audience ~now query with
-  | Not_accepted error -> Error error
-  | Accepted _token -> inner query
-
+(* The gate's one lane: check tokens per query, send only the survivors
+   to the inner many lane in one call (keeping its batch amortization),
+   splice answers back in request order. *)
 let batch ?(obs = Obs.noop) ?validator ~sts_key ~audience ~now
     (inner : Callout.Batch.t) : Callout.Batch.t =
-  let single =
-    callout ~obs ?validator ~sts_key ~audience ~now
-      (Callout.Batch.check inner)
-  in
-  (* Check tokens per query, send only the survivors to the inner many
-     lane (keeping its batch amortization), splice answers back in
-     request order. *)
   let many (queries : Callout.query array) =
     let n = Array.length queries in
     let answers = Array.make n Callout.permitted in
@@ -126,4 +115,8 @@ let batch ?(obs = Obs.noop) ?validator ~sts_key ~audience ~now
     end;
     answers
   in
-  Callout.Batch.make ~single ~many
+  Callout.Batch.of_many many
+
+let callout ?obs ?validator ~sts_key ~audience ~now inner : Callout.t =
+  Callout.Batch.check
+    (batch ?obs ?validator ~sts_key ~audience ~now (Callout.Batch.of_callout inner))

@@ -1,16 +1,19 @@
-(* Batch decision pipeline equivalence suite.
+(* Batch decision pipeline oracle suite.
 
-   The contract of [Callout.Batch] is that the many lane is an
-   *optimization*, never a semantic fork: for every backend,
-   [evaluate_many qs] must equal [Array.map single qs] element-wise —
-   the decision AND the reason (the structural compare covers the full
-   error payload) — and the answers must come back in request order.
+   Every layer of the decision stack implements one lane — [many] — and
+   a single consultation is a batch of one. The contract is that batching
+   is an *optimization*, never a semantic fork: for every backend, each
+   answer must equal the uncompiled reference evaluator's
+   ([File_pep.reference]) element-wise — the decision AND the reason
+   (the structural compare covers the full error payload) — whether the
+   query arrives in a batch ([evaluate_many]) or alone ([check], the
+   batch-of-one path), and the answers must come back in request order.
 
-   The property runs for every backend that ships a native many lane
+   The property runs for every backend that ships a native lane
    (flat-file compiled, compiled behind the decision cache, ReBAC) plus
-   the derived [Batch.of_callout] fallback, under three pinned seed
-   sets so a failure reproduces byte-for-byte. Generated batches mix
-   start and management intents, owners, jobtags, duplicates, and
+   a plain callout lifted with [Batch.of_callout], under three pinned
+   seed sets so a failure reproduces byte-for-byte. Generated batches
+   mix start and management intents, owners, jobtags, duplicates, and
    missing/live/expired credentials; the cached backend is exercised
    cold (misses) and warm (hits), and on one shared cache under two
    scopes. A deterministic regression case pins request-order
@@ -54,7 +57,8 @@ let sources = Core.Fusion.policy_sources (Core.Fusion.build_vo ())
 let compiled_pep = File_pep.Compiled.create sources
 let compiled = File_pep.Compiled.batch compiled_pep
 let rebac = Pep.batch (Pep.create sources)
-let fallback = Callout.Batch.of_callout (File_pep.reference sources)
+let fallback = Callout.Batch.of_callout (File_pep.Compiled.callout compiled_pep)
+let reference = File_pep.reference sources
 
 (* All cache clocks sit at [now]; the 50-second identities below are
    long dead by then, the 1000-second ones comfortably live. *)
@@ -130,19 +134,20 @@ let arb_batch =
     ~print:(fun qs -> String.concat "; " (List.map query_to_string qs))
     QCheck.Gen.(list_size (int_range 0 40) gen_query)
 
-(* --- The equivalence property ------------------------------------------- *)
+(* --- The oracle property ----------------------------------------------- *)
 
 (* Two passes: against a stateful backend the first is all cold misses,
-   the second all warm hits — both must still match the single lane.
-   The two lanes get *separate* cache instances so each lane's state
-   evolves exactly as its own call sequence dictates. *)
-let lanes_agree (b_single, b_many) qs =
-  let single = Callout.Batch.check b_single in
+   the second all warm hits — both must still match the reference. The
+   batched and the one-at-a-time consultations get *separate* backend
+   instances, so each one's cache state evolves exactly as its own call
+   sequence dictates. *)
+let agrees_with_reference make qs =
+  let expect = Array.map reference qs in
+  let batched = make () and single = Callout.Batch.check (make ()) in
   let ok = ref true in
   for _pass = 1 to 2 do
-    let expect = Array.map single qs in
-    let got = Callout.Batch.evaluate_many b_many qs in
-    if expect <> got then ok := false
+    if Callout.Batch.evaluate_many batched qs <> expect then ok := false;
+    if Array.map single qs <> expect then ok := false
   done;
   !ok
 
@@ -152,32 +157,29 @@ let fresh_cache () =
     ~now:(fun () -> now) ()
 
 let backends =
-  [ ("flat-file compiled", fun () -> (compiled, compiled));
-    ("derived fallback", fun () -> (fallback, fallback));
-    ("rebac", fun () -> (rebac, rebac));
-    ( "compiled+cache",
-      fun () ->
-        ( Cache.with_cache_many (fresh_cache ()) compiled,
-          Cache.with_cache_many (fresh_cache ()) compiled ) ) ]
+  [ ("flat-file compiled", fun () -> compiled);
+    ("derived fallback", fun () -> fallback);
+    ("rebac", fun () -> rebac);
+    ("compiled+cache", fun () -> Cache.with_cache (fresh_cache ()) compiled) ]
 
-let equivalence (name, make_pair) =
+let oracle (name, make) =
   QCheck.Test.make
-    ~name:(name ^ ": evaluate_many = map single (decision and reason)")
+    ~name:(name ^ ": evaluate_many = map single = reference (decision and reason)")
     ~count:(count ~default:150) arb_batch
-    (fun qs -> lanes_agree (make_pair ()) (Array.of_list qs))
+    (fun qs -> agrees_with_reference make (Array.of_list qs))
 
-(* One shared cache serving two scopes: neither scope's batch lane may
-   leak the other's entries, so both must keep matching the uncached
-   truth while both scopes run hot on the same store. *)
+(* One shared cache serving two scopes: neither scope may leak the
+   other's entries, so both must keep matching the reference while both
+   scopes run hot on the same store. *)
 let mixed_scopes =
-  QCheck.Test.make ~name:"one cache, two scopes: both lanes match the uncached truth"
+  QCheck.Test.make ~name:"one cache, two scopes: both lanes match the reference"
     ~count:(count ~default:100) arb_batch
     (fun qs ->
       let qs = Array.of_list qs in
       let cache = fresh_cache () in
-      let authz = Cache.with_cache_many cache ~scope:"authz" compiled in
-      let gatekeeper = Cache.with_cache_many cache ~scope:"gatekeeper" compiled in
-      let truth = Array.map (Callout.Batch.check compiled) qs in
+      let authz = Cache.with_cache cache ~scope:"authz" compiled in
+      let gatekeeper = Cache.with_cache cache ~scope:"gatekeeper" compiled in
+      let truth = Array.map reference qs in
       let ok = ref true in
       for _pass = 1 to 2 do
         if Callout.Batch.evaluate_many authz qs <> truth then ok := false;
@@ -202,12 +204,10 @@ let test_order_preserved () =
        Callout.Query.make ~requester:(dn bo) (Callout.Query.Start clauses.(0)) |]
   in
   let expect_permit = [| true; false; false; true; true |] in
+  let expect = Array.map reference qs in
   List.iter
-    (fun (name, make_pair) ->
-      let _, b = make_pair () in
-      let single = Callout.Batch.check b in
-      let expect = Array.map single qs in
-      let got = Callout.Batch.evaluate_many b qs in
+    (fun (name, make) ->
+      let got = Callout.Batch.evaluate_many (make ()) qs in
       Array.iteri
         (fun i d ->
           Alcotest.(check bool)
@@ -215,7 +215,7 @@ let test_order_preserved () =
             expect_permit.(i)
             (d = Ok ());
           Alcotest.(check bool)
-            (Printf.sprintf "%s: slot %d equals single lane" name i)
+            (Printf.sprintf "%s: slot %d equals the reference" name i)
             true
             (d = expect.(i)))
         got)
@@ -228,6 +228,6 @@ let () =
     :: List.map
          (fun (label, seeds) ->
            ( "equivalence-seed-" ^ label,
-             List.map (fun b -> pinned_with seeds (equivalence b)) backends
+             List.map (fun b -> pinned_with seeds (oracle b)) backends
              @ [ pinned_with seeds mixed_scopes ] ))
          seed_matrix)

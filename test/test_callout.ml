@@ -189,8 +189,11 @@ globus_gram_jobmanager_authz   libauthz_file.so   authz_file_callout
 other_type                     libother.so        other_symbol
 |}
 
+let load_ok text =
+  match Config.load text with Ok config -> config | Error m -> Alcotest.failf "config: %s" m
+
 let test_config_parse () =
-  let config = Config.load config_text in
+  let config = load_ok config_text in
   Alcotest.(check int) "two bindings" 2 (List.length (Config.bindings config));
   match Config.find config Config.gram_authz_type with
   | Some b ->
@@ -199,23 +202,23 @@ let test_config_parse () =
   | None -> Alcotest.fail "gram type not found"
 
 let test_config_parse_errors () =
-  (match Config.load_result "only_two_fields second" with
+  (match Config.load "only_two_fields second" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "short line accepted");
-  match Config.load_result "a b c d" with
+  match Config.load "a b c d" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "long line accepted"
 
 let test_config_roundtrip () =
-  let config = Config.load config_text in
-  let config' = Config.load (Config.to_text config) in
+  let config = load_ok config_text in
+  let config' = load_ok (Config.to_text config) in
   Alcotest.(check int) "same size" 2 (List.length (Config.bindings config'))
 
 let test_config_resolution () =
   let reg = Registry.create () in
   Registry.register reg ~library:"libauthz_file.so" ~symbol:"authz_file_callout"
     Callout.permit_all;
-  let config = Config.load config_text in
+  let config = load_ok config_text in
   (match Config.resolve config reg Config.gram_authz_type with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "resolution failed: %s" (Callout.error_to_string e));
@@ -282,6 +285,10 @@ let test_file_pep_of_texts_good () =
 
 (* --- Decision cache ------------------------------------------------------ *)
 
+(* A plain callout behind the cache, consulted one query at a time. *)
+let cached ?scope cache backend =
+  Callout.Batch.check (Cache.with_cache ?scope cache (Callout.Batch.of_callout backend))
+
 (* Distinct-keyed management queries for churn tests. *)
 let keyed_query ?credential ~job_id () =
   Callout.Query.make ~requester:(dn "/O=Grid/CN=U") ?credential ~job_id
@@ -298,7 +305,7 @@ let test_cache_hits_and_epoch_invalidation () =
     Cache.create ~capacity:8 ~ttl:100.0 ~epoch:(fun () -> !epoch)
       ~now:(fun () -> !clock) ()
   in
-  let pep = Cache.with_cache cache backend in
+  let pep = cached cache backend in
   let q = keyed_query ~job_id:"job-1" () in
   Alcotest.(check bool) "first answer" true (pep q = Ok ());
   Alcotest.(check bool) "second answer" true (pep q = Ok ());
@@ -314,7 +321,7 @@ let test_cache_caches_denials () =
   let clock = ref 0.0 in
   let backend, calls = Callout.counting (Callout.deny_all ~reason:"no") in
   let cache = Cache.create ~capacity:8 ~ttl:100.0 ~now:(fun () -> !clock) () in
-  let pep = Cache.with_cache cache backend in
+  let pep = cached cache backend in
   let q = keyed_query ~job_id:"job-1" () in
   (match pep q with
   | Error (Callout.Denied _) -> ()
@@ -326,7 +333,7 @@ let test_cache_ttl_expiry () =
   let clock = ref 0.0 in
   let backend, calls = Callout.counting Callout.permit_all in
   let cache = Cache.create ~capacity:8 ~ttl:10.0 ~now:(fun () -> !clock) () in
-  let pep = Cache.with_cache cache backend in
+  let pep = cached cache backend in
   let q = keyed_query ~job_id:"job-1" () in
   ignore (pep q);
   clock := 5.0;
@@ -344,7 +351,7 @@ let test_cache_expired_credential_bypasses () =
   let credential = Grid_gsi.Credential.of_identity identity ~challenge:"c" in
   let backend, calls = Callout.counting Callout.permit_all in
   let cache = Cache.create ~capacity:8 ~ttl:1000.0 ~now:(fun () -> !clock) () in
-  let pep = Cache.with_cache cache backend in
+  let pep = cached cache backend in
   let q = keyed_query ~credential ~job_id:"job-1" () in
   ignore (pep q);
   ignore (pep q);
@@ -374,7 +381,7 @@ let test_cache_revoked_credential_bypasses () =
           cred.Grid_gsi.Credential.chain)
       ~now:(fun () -> !clock) ()
   in
-  let pep = Cache.with_cache cache backend in
+  let pep = cached cache backend in
   let q = keyed_query ~credential ~job_id:"job-1" () in
   ignore (pep q);
   ignore (pep q);
@@ -393,16 +400,12 @@ let test_cache_revoked_credential_bypasses () =
   Alcotest.(check int) "revoked credential: every call reaches the backend" 3
     (calls ());
   Alcotest.(check int) "bypasses counted" 2 (Cache.bypasses cache);
-  (* The batch lane classifies per query: the revoked credential's query
+  (* A batch is classified per query: the revoked credential's query
      bypasses while its credential-less neighbour is served from cache. *)
   let many_calls = ref 0 in
   let batch =
-    Cache.with_cache_many cache
-      (Callout.Batch.make
-         ~single:(fun _ ->
-           incr many_calls;
-           Ok ())
-         ~many:(fun qs ->
+    Cache.with_cache cache
+      (Callout.Batch.of_many (fun qs ->
            many_calls := !many_calls + Array.length qs;
            Array.map (fun _ -> Callout.permitted) qs))
   in
@@ -411,7 +414,7 @@ let test_cache_revoked_credential_bypasses () =
   ignore (Callout.Batch.evaluate_many batch [| bare; q2 |]);
   ignore (Callout.Batch.evaluate_many batch [| bare; q2 |]);
   Alcotest.(check int)
-    "batch lane: bare query cached once, revoked query re-evaluated twice" 3
+    "batch: bare query cached once, revoked query re-evaluated twice" 3
     !many_calls
 
 let test_cache_never_caches_system_error_or_fail_open () =
@@ -420,7 +423,7 @@ let test_cache_never_caches_system_error_or_fail_open () =
   let cache = Cache.create ~capacity:8 ~ttl:100.0 ~now:(fun () -> !clock) () in
   (* degrade OUTSIDE the cache: the fail-open permit is a conversion of
      an uncached System_error, so it can never be stored. *)
-  let pep = Callout.degrade Callout.Fail_open (Cache.with_cache cache backend) in
+  let pep = Callout.degrade Callout.Fail_open (cached cache backend) in
   let q = keyed_query ~job_id:"job-1" () in
   Alcotest.(check bool) "fail-open converts outage to permit" true (pep q = Ok ());
   Alcotest.(check bool) "again" true (pep q = Ok ());
@@ -432,7 +435,7 @@ let test_cache_lru_bound_under_churn () =
   let clock = ref 0.0 in
   let backend, calls = Callout.counting Callout.permit_all in
   let cache = Cache.create ~capacity:4 ~ttl:1000.0 ~now:(fun () -> !clock) () in
-  let pep = Cache.with_cache cache backend in
+  let pep = cached cache backend in
   let q i = keyed_query ~job_id:(Printf.sprintf "job-%d" i) () in
   for i = 1 to 10 do ignore (pep (q i)) done;
   Alcotest.(check int) "bound respected" 4 (Cache.size cache);
@@ -456,8 +459,8 @@ let test_cache_scopes_partition_keys () =
   let deny, deny_calls = Callout.counting (Callout.deny_all ~reason:"owner says no") in
   let permit, permit_calls = Callout.counting Callout.permit_all in
   let cache = Cache.create ~capacity:8 ~ttl:100.0 ~now:(fun () -> !clock) () in
-  let a = Cache.with_cache cache ~scope:"gatekeeper" deny in
-  let b = Cache.with_cache cache ~scope:"jm" permit in
+  let a = cached cache ~scope:"gatekeeper" deny in
+  let b = cached cache ~scope:"jm" permit in
   let q = keyed_query ~job_id:"job-1" () in
   (match a q with
   | Error (Callout.Denied _) -> ()
@@ -598,7 +601,7 @@ let test_cache_revision_keys_without_flushing () =
     Cache.create ~capacity:8 ~ttl:100.0 ~epoch:(fun () -> !epoch)
       ~revision:(fun () -> !revision) ~now:(fun () -> !clock) ()
   in
-  let pep = Cache.with_cache cache backend in
+  let pep = cached cache backend in
   let q = keyed_query ~job_id:"job-1" () in
   ignore (pep q);
   ignore (pep q);

@@ -250,6 +250,49 @@ let test_fusion_policy_derived_sandbox () =
       (Grid_util.Str_search.contains r.Grid_audit.Audit.detail "(executable = TRANSP)")
   | _ -> Alcotest.fail "unexpected"
 
+let test_flat_file_advice_follows_reload () =
+  (* A flat-file site derives sandbox advice from the live policy: after
+     a reload, the audit record names the reloaded policy's clause, not
+     the clause of the policy the site was created with. *)
+  let tb = Testbed.create () in
+  let dn = "/O=Grid/CN=Reloader" in
+  let user = Testbed.add_user tb dn in
+  let gridmap = Gsi.Gridmap.add Gsi.Gridmap.empty ~dn:(Gsi.Dn.parse dn) ~account:"reloader" in
+  let policy cap =
+    [ Policy.Combine.source ~name:"owner"
+        (Policy.Parse.parse (Printf.sprintf "/O=Grid: &(action = start)(count < %d)" cap)) ]
+  in
+  let site =
+    Site.create ~gridmap ~backend:(Flat_file (policy 4)) ~engine:(Testbed.engine tb)
+      ~trust:(Testbed.trust tb) ~obs:(Testbed.obs tb) ()
+  in
+  let client = Testbed.client tb ~user ~resource:site.Site.resource in
+  let last_derivation () =
+    Grid_audit.Audit.records (Gram.Resource.audit site.Site.resource)
+    |> List.filter (fun r ->
+           Grid_util.Strings.starts_with ~prefix:"sandbox derived from policy clause"
+             r.Grid_audit.Audit.detail)
+    |> List.rev
+    |> function
+    | r :: _ -> r.Grid_audit.Audit.detail
+    | [] -> Alcotest.fail "no sandbox derivation recorded"
+  in
+  let submit () =
+    ignore (ok_submit (Gram.Client.submit_sync client ~rsl:"&(executable=x)(count=2)"))
+  in
+  submit ();
+  Alcotest.(check bool) "created policy's clause" true
+    (Grid_util.Str_search.contains (last_derivation ()) "(count < 4)");
+  (match site.Site.reload with
+  | Some reload -> reload (policy 8)
+  | None -> Alcotest.fail "flat-file site has no reload handle");
+  submit ();
+  let detail = last_derivation () in
+  Alcotest.(check bool) "names the live clause" true
+    (Grid_util.Str_search.contains detail "(count < 8)");
+  Alcotest.(check bool) "not the dead policy's clause" false
+    (Grid_util.Str_search.contains detail "(count < 4)")
+
 let test_fusion_cas_backend () =
   (* Same VO, push model: members fetch CAS capabilities; the resource
      runs the CAS PEP instead of reading policy files. *)
@@ -397,6 +440,8 @@ let () =
           Alcotest.test_case "audit accountability" `Quick test_fusion_audit_accountability;
           Alcotest.test_case "policy-derived sandbox" `Quick
             test_fusion_policy_derived_sandbox;
+          Alcotest.test_case "derived sandbox follows reload" `Quick
+            test_flat_file_advice_follows_reload;
           Alcotest.test_case "CAS backend" `Quick test_fusion_cas_backend ] );
       ( "workload",
         [ Alcotest.test_case "accounting" `Quick test_workload_accounting;

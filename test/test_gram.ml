@@ -237,7 +237,9 @@ let test_extended_unknown_contact () =
 
 let test_extended_misconfigured_callout () =
   let registry = Grid_callout.Registry.create () in
-  let config = Grid_callout.Config.load "globus_gram_jobmanager_authz libmissing.so sym" in
+  let config =
+    Result.get_ok (Grid_callout.Config.load "globus_gram_jobmanager_authz libmissing.so sym")
+  in
   let mode () = Mode.extended_from_config config registry in
   let w = build mode in
   match Client.submit_sync w.kate ~rsl:kate_transp with

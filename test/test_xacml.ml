@@ -144,10 +144,13 @@ let probes =
       ~tag:(Some "NFC");
     start ~who:"/O=Elsewhere/CN=X" ~rsl:"&(executable=test1)(jobtag=ADS)" ]
 
+let parse_ok text =
+  match Xacml.parse text with Ok policy -> policy | Error m -> Alcotest.failf "xacml: %s" m
+
 let test_xacml_figure3_equivalent () =
   (* The XACML rendering of Figure 3 makes the same decisions as the
      RSL-syntax original on every probe. *)
-  let xacml_policy = Xacml.parse figure3_xacml in
+  let xacml_policy = parse_ok figure3_xacml in
   let rsl_policy = Figure3.get () in
   List.iteri
     (fun i probe ->
@@ -158,7 +161,7 @@ let test_xacml_figure3_equivalent () =
     probes
 
 let test_xacml_parse_structure () =
-  let policy = Xacml.parse figure3_xacml in
+  let policy = parse_ok figure3_xacml in
   Alcotest.(check int) "five statements" 5 (List.length policy);
   match policy with
   | req :: _ ->
@@ -168,7 +171,7 @@ let test_xacml_parse_structure () =
 
 let test_xacml_value_sets_and_self () =
   let policy =
-    Xacml.parse
+    parse_ok
       {|<Policy>
           <Rule RuleId="r" Effect="Permit">
             <Target>
@@ -207,7 +210,7 @@ let test_xacml_value_sets_and_self () =
 
 let test_xacml_errors () =
   let bad text =
-    match Xacml.parse_result text with
+    match Xacml.parse text with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "accepted %s" text
   in
@@ -225,7 +228,7 @@ let test_xacml_errors () =
 let test_xacml_export_roundtrip_figure3 () =
   let policy = Figure3.get () in
   let exported = Xacml.to_string ~policy_id:"figure3" policy in
-  let reimported = Xacml.parse exported in
+  let reimported = parse_ok exported in
   List.iteri
     (fun i probe ->
       Alcotest.(check bool)
@@ -312,7 +315,7 @@ let qcheck_export_import_decision_equivalent =
        QCheck.Gen.(pair gen_policy (list_size (int_range 1 8) gen_probe))
        ~print:(fun (p, _) -> Types.to_string p))
     (fun (policy, probes) ->
-      match Xacml.parse_result (Xacml.to_string policy) with
+      match Xacml.parse (Xacml.to_string policy) with
       | Error _ -> false
       | Ok policy' ->
         List.for_all
@@ -333,7 +336,7 @@ let qcheck_xacml_fuzz_no_crash =
   QCheck.Test.make ~name:"XACML parser never crashes" ~count:500
     QCheck.(string_gen QCheck.Gen.printable)
     (fun s ->
-      match Xacml.parse_result s with
+      match Xacml.parse s with
       | Ok _ | Error _ -> true)
 
 let () =
