@@ -261,13 +261,6 @@ let manage ?timeout ?credential_for t ~requester ?credential ~contact action ~re
     Grid_gram.Resource.manage ?timeout m.resource ~requester ?credential ~contact action
       ~reply
 
-let manage_sync t ~requester ?credential ~contact action =
-  match locate t ~contact with
-  | None -> Error (Grid_gram.Protocol.Unknown_job contact)
-  | Some m ->
-    count t ~labels:[ ("resource", m.name) ] "fleet_management_routed_total";
-    Grid_gram.Resource.manage_direct m.resource ~requester ?credential ~contact action
-
 (* Batched management across the fleet: requests are grouped by owning
    member (members in index order, requests in arrival order within each
    group) and each group goes through that member's batch lane; results

@@ -90,8 +90,11 @@ val member_epoch : member -> int
 val member_publications : member -> int
 
 val routed_jobs : t -> int
-(** Live entries in the contact routing table (trimmed on terminal job
-    events, so O(live jobs)). *)
+(** Live entries in the contact routing table. Every member emits a
+    [job.terminal] event when one of its jobs ends, with or without a
+    store, and the fleet drops that job's route, so the table is
+    O(live jobs). The events flow only through an enabled [obs]; under
+    {!Grid_obs.Obs.noop} routes are never trimmed. *)
 
 (** {1 Placement} *)
 
@@ -142,15 +145,6 @@ val manage :
     [credential] is given, [credential_for] can mint one against the
     located member's resource (the tokenized workload's path). *)
 
-val manage_sync :
-  t ->
-  requester:Grid_gsi.Dn.t ->
-  ?credential:Grid_gsi.Credential.t ->
-  contact:string ->
-  Grid_gram.Protocol.management_action ->
-  (Grid_gram.Protocol.management_reply, Grid_gram.Protocol.management_error) result
-(** In-process routed management (the owning member's direct lane). *)
-
 val manage_many :
   ?credential_for:
     (Grid_gram.Resource.t ->
@@ -159,11 +153,13 @@ val manage_many :
   t ->
   Grid_gram.Resource.manage_request array ->
   (Grid_gram.Protocol.management_reply, Grid_gram.Protocol.management_error) result array
-(** Batched routed management: requests grouped by owning member, each
-    group authorized through that member's batch lane; results in
-    request order. Unroutable contacts answer [Unknown_job].
-    [credential_for] fills a credential-less request once its owning
-    member is known (see {!manage}). *)
+(** In-process routed management (the owning member's direct lane; a
+    single request is a one-element array): requests are grouped by
+    owning member, and each group goes through that member's
+    {!Grid_gram.Resource.manage_many_direct}; results in request order.
+    Unroutable contacts answer [Unknown_job]. [credential_for] fills a
+    credential-less request once its owning member is known (see
+    {!manage}). *)
 
 (** {1 Operations} *)
 

@@ -104,34 +104,15 @@ let now t = Grid_sim.Engine.now t.engine
 let record t ~target label =
   Grid_sim.Trace.record t.trace ~at:(now t) ~source:("jmi:" ^ t.contact) ~target label
 
-let authorize t (query : Grid_callout.Callout.query) =
+(* Startup authorization. Start requests reach a baseline JMI
+   pre-authorized by the Gatekeeper (and are not counted as authorization
+   decisions — no check happens here); an extended JMI consults the
+   callout, which arrives already wrapped by [Mode.instrument], so the
+   consultation is spanned/counted there under the mode's backend label. *)
+let authorize_start t (query : Grid_callout.Callout.query) =
   match t.mode with
-  | Mode.Gt2_baseline ->
-    (* Baseline management rule: the Grid identity of the requester must
-       match the Grid identity of the job initiator. Start requests reach
-       the JMI pre-authorized by the Gatekeeper (and are not counted as
-       authorization decisions — no check happens here). *)
-    if query.Grid_callout.Callout.action = Grid_policy.Types.Action.Start then Ok ()
-    else begin
-      let decision =
-        if Grid_gsi.Dn.equal query.Grid_callout.Callout.requester t.owner then Ok ()
-        else
-          Error
-            (Grid_callout.Callout.Denied "GT2: only the job initiator may manage this job")
-      in
-      if Grid_obs.Obs.enabled t.obs then
-        Grid_obs.Obs.incr t.obs
-          ~labels:
-            [ ("backend", "gt2");
-              ("action", Grid_policy.Types.Action.to_string query.Grid_callout.Callout.action);
-              ("outcome", Grid_callout.Callout.outcome_label decision) ]
-          "authz_decisions_total";
-      decision
-    end
+  | Mode.Gt2_baseline -> Ok ()
   | Mode.Extended { authorization; _ } ->
-    (* The Extended callout arrives already wrapped by [Mode.instrument],
-       so consultations are spanned/counted there under the mode's
-       backend label. *)
     t.callout_invocations <- t.callout_invocations + 1;
     record t ~target:"pep" "authorization callout";
     Grid_callout.Callout.Batch.check authorization query
@@ -156,7 +137,7 @@ let start_inner t ~(credential : Grid_gsi.Credential.t option) :
       rsl = Some (Grid_rsl.Job.clause t.job);
       jobtag = t.jobtag }
   in
-  match authorize t query with
+  match authorize_start t query with
   | Error e ->
     audit_authz t ~requester:t.owner ~job_id:t.contact ~action:"start"
       (Grid_audit.Audit.Failure (Grid_callout.Callout.error_to_string e));
@@ -387,39 +368,45 @@ let management_query t ~requester ~(credential : Grid_gsi.Credential.t option)
     rsl = None;
     jobtag = t.jobtag }
 
-(* The post-authorization half of a management request: audit the
-   decision and, when permitted, perform the action. Shared by the
-   single-shot path and the batched path, so both audit and act
-   identically. *)
+(* Baseline management rule: the Grid identity of the requester must
+   match the Grid identity of the job initiator. *)
+let initiator_check t ~requester (action : Protocol.management_action) =
+  let decision =
+    if Grid_gsi.Dn.equal requester t.owner then Ok ()
+    else Error (Grid_callout.Callout.Denied "GT2: only the job initiator may manage this job")
+  in
+  if Grid_obs.Obs.enabled t.obs then
+    Grid_obs.Obs.incr t.obs
+      ~labels:
+        [ ("backend", "gt2");
+          ("action",
+           Grid_policy.Types.Action.to_string (Protocol.to_policy_action action));
+          ("outcome", Grid_callout.Callout.outcome_label decision) ]
+      "authz_decisions_total";
+  decision
+
+(* A management request once authorized, under one ["jmi.manage"]
+   span: audit the decision and, when permitted, perform the action;
+   every request lands in [management_requests_total] and the
+   ["jmi.manage"] event stream. *)
 let manage_decided t ~requester (action : Protocol.management_action)
     (decision : Grid_callout.Callout.decision) :
     (Protocol.management_reply, Protocol.management_error) result =
   let action_name = Protocol.management_action_to_string action in
-  match decision with
-  | Error e ->
-    audit_authz t ~requester ~job_id:t.contact ~action:action_name
-      (Grid_audit.Audit.Failure (Grid_callout.Callout.error_to_string e));
-    Error (Protocol.Not_authorized (Protocol.authz_failure_of_callout e))
-  | Ok () ->
-    audit_authz t ~requester ~job_id:t.contact ~action:action_name Grid_audit.Audit.Success;
-    Grid_audit.Audit.log t.audit ~at:(now t) ~kind:Grid_audit.Audit.Job_management
-      ~subject:requester ~job_id:t.contact ~outcome:Grid_audit.Audit.Success action_name;
-    perform t action
-
-let manage_inner t ~requester ?(credential : Grid_gsi.Credential.t option)
-    (action : Protocol.management_action) :
-    (Protocol.management_reply, Protocol.management_error) result =
-  let query = management_query t ~requester ~credential action in
-  manage_decided t ~requester action (authorize t query)
-
-(* Span/counter/event wrapper around one management request; shared by
-   [manage] and the batched path so every request lands in
-   [management_requests_total] and the ["jmi.manage"] event stream the
-   same way, batched or not. *)
-let observed_manage t (action : Protocol.management_action) run =
+  let run () =
+    match decision with
+    | Error e ->
+      audit_authz t ~requester ~job_id:t.contact ~action:action_name
+        (Grid_audit.Audit.Failure (Grid_callout.Callout.error_to_string e));
+      Error (Protocol.Not_authorized (Protocol.authz_failure_of_callout e))
+    | Ok () ->
+      audit_authz t ~requester ~job_id:t.contact ~action:action_name Grid_audit.Audit.Success;
+      Grid_audit.Audit.log t.audit ~at:(now t) ~kind:Grid_audit.Audit.Job_management
+        ~subject:requester ~job_id:t.contact ~outcome:Grid_audit.Audit.Success action_name;
+      perform t action
+  in
   if not (Grid_obs.Obs.enabled t.obs) then run ()
-  else begin
-    let action_name = Protocol.management_action_to_string action in
+  else
     Grid_obs.Obs.with_span t.obs
       ~attrs:[ ("action", action_name); ("contact", t.contact) ]
       "jmi.manage"
@@ -438,55 +425,24 @@ let observed_manage t (action : Protocol.management_action) run =
         Grid_obs.Obs.emit t.obs ~layer:"jmi" "jmi.manage"
           [ ("contact", t.contact); ("action", action_name); ("outcome", outcome) ];
         result)
-  end
 
-let manage t ~requester ?credential action =
-  observed_manage t action (fun () -> manage_inner t ~requester ?credential action)
-
-(* --- Batched management ------------------------------------------------ *)
-
-(* Authorize-and-perform a whole batch of management requests, possibly
-   spanning many JMIs. Authorization goes through the Extended mode's
-   many lane: items sharing one (physically equal) batch callout — the
-   common case, since a resource wires one mode into every JMI — are
-   authorized in a single [evaluate_many] call; baseline items keep the
-   inline initiator check. Every item is then audited/performed through
-   the same [manage_decided]/[observed_manage] pair as the single-shot
-   path, and the result array preserves request order. *)
-let manage_many
+(* Authorize a batch of management requests, possibly spanning many JMIs
+   of one resource, all built with [mode]. In extended mode the whole
+   batch is one [evaluate_many] call (a single request is a batch of
+   one); baseline items keep the initiator check. Decisions come back in
+   request order. *)
+let authorize_many (mode : Mode.t)
     (items :
       (t * Grid_gsi.Dn.t * Grid_gsi.Credential.t option * Protocol.management_action)
-      array) : (Protocol.management_reply, Protocol.management_error) result array =
-  let n = Array.length items in
-  let decisions = Array.make n Grid_callout.Callout.permitted in
-  let groups : (Grid_callout.Callout.Batch.t * int list ref) list ref = ref [] in
-  for i = 0 to n - 1 do
-    let t, requester, credential, action = items.(i) in
-    match t.mode with
-    | Mode.Gt2_baseline ->
-      decisions.(i) <- authorize t (management_query t ~requester ~credential action)
-    | Mode.Extended { authorization; _ } -> begin
-      t.callout_invocations <- t.callout_invocations + 1;
-      record t ~target:"pep" "authorization callout";
-      match List.find_opt (fun (b, _) -> b == authorization) !groups with
-      | Some (_, ids) -> ids := i :: !ids
-      | None -> groups := (authorization, ref [ i ]) :: !groups
-    end
-  done;
-  List.iter
-    (fun (authorization, ids) ->
-      let idx = Array.of_list (List.rev !ids) in
-      let queries =
-        Array.map
-          (fun i ->
-            let t, requester, credential, action = items.(i) in
-            management_query t ~requester ~credential action)
-          idx
-      in
-      let answers = Grid_callout.Callout.Batch.evaluate_many authorization queries in
-      Array.iteri (fun k i -> decisions.(i) <- answers.(k)) idx)
-    !groups;
-  Array.mapi
-    (fun i (t, requester, _credential, action) ->
-      observed_manage t action (fun () -> manage_decided t ~requester action decisions.(i)))
-    items
+      array) : Grid_callout.Callout.decision array =
+  match mode with
+  | Mode.Gt2_baseline ->
+    Array.map (fun (t, requester, _, action) -> initiator_check t ~requester action) items
+  | Mode.Extended { authorization; _ } ->
+    Grid_callout.Callout.Batch.evaluate_many authorization
+      (Array.map
+         (fun (t, requester, credential, action) ->
+           t.callout_invocations <- t.callout_invocations + 1;
+           record t ~target:"pep" "authorization callout";
+           management_query t ~requester ~credential action)
+         items)

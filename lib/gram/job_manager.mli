@@ -76,20 +76,24 @@ val start :
 
 val status : t -> (Protocol.job_status, Protocol.management_error) result
 
-val manage :
+val authorize_many :
+  Mode.t ->
+  (t * Grid_gsi.Dn.t * Grid_gsi.Credential.t option * Protocol.management_action) array ->
+  Grid_callout.Callout.decision array
+(** [authorize_many mode items] decides whether each requester may take
+    each action on each JMI; decisions come back in request order. Every
+    JMI in [items] must have been built with [mode] (a resource wires one
+    mode into all of its JMIs). In extended mode the whole batch is one
+    callout [evaluate_many] call, so a single request is a batch of one;
+    in baseline mode each item gets the owner-only check. *)
+
+val manage_decided :
   t ->
   requester:Grid_gsi.Dn.t ->
-  ?credential:Grid_gsi.Credential.t ->
   Protocol.management_action ->
+  Grid_callout.Callout.decision ->
   (Protocol.management_reply, Protocol.management_error) result
-(** Authorize the requester (owner-only in baseline mode; callout in
-    extended mode), then perform the action against the LRM. *)
-
-val manage_many :
-  (t * Grid_gsi.Dn.t * Grid_gsi.Credential.t option * Protocol.management_action) array ->
-  (Protocol.management_reply, Protocol.management_error) result array
-(** Batched {!manage} across (possibly many) JMIs: items whose extended
-    modes share one batch callout are authorized in a single
-    [evaluate_many] pass, baseline items keep the inline initiator
-    check, and every item is audited, performed, and counted exactly as
-    the single-shot path would. Results come back in request order. *)
+(** Audit one decision from {!authorize_many} and, when permitted,
+    perform the action against the LRM, under one [jmi.manage] span
+    (counted in [management_requests_total]). That span follows the
+    batch's [authz.callout] span under the same parent. *)

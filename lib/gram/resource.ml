@@ -22,10 +22,11 @@ type t = {
   store : Grid_store.Store.t option;
   policy_epoch : (unit -> int) option;
   jmis : (string, Job_manager.t) Hashtbl.t;
-  (* Durable-state mirrors, only populated when [store] is present: the
-     journalled creation record per contact (the snapshot source) and the
-     scheduler-id -> contact map driving terminal-state journalling. *)
+  (* The journalled creation record per contact (the snapshot source),
+     only populated when [store] is present. *)
   entries : (string, Persist.job_entry) Hashtbl.t;
+  (* Scheduler id -> contact for every started job that has not reached a
+     terminal state; drives [job.terminal] and terminal-state journalling. *)
   lrm_contacts : (string, string) Hashtbl.t;
 }
 
@@ -115,28 +116,27 @@ let create ?(name = "resource") ?network ?gatekeeper_pep ?allocation ?obs
                  (Printf.sprintf "authorization degraded (%s)" (attr "mode")))
             (Printf.sprintf "backend outage: %s -> %s under %s" (attr "original")
                (attr "final") (attr "mode")));
-  (match store with
-  | None -> ()
-  | Some store ->
-    Grid_store.Store.set_snapshot_source store (snapshot_entries t.entries);
-    (* One listener journals every tracked job's terminal transition —
-       the record a restarted job manager needs to explain history, even
-       though the surviving LRM stays authoritative for current state. *)
-    Grid_lrm.Lrm.on_event lrm (fun (Grid_lrm.Lrm.State_changed { job; _ }) ->
-        match Hashtbl.find_opt t.lrm_contacts job.Grid_lrm.Lrm.id with
-        | None -> ()
-        | Some contact -> begin
-          match job.Grid_lrm.Lrm.state with
-          | Grid_lrm.Lrm.Completed | Grid_lrm.Lrm.Cancelled | Grid_lrm.Lrm.Killed _ ->
-            Hashtbl.remove t.lrm_contacts job.Grid_lrm.Lrm.id;
-            let state = Grid_lrm.Lrm.state_to_string job.Grid_lrm.Lrm.state in
-            record_event t
-              (Persist.Job_state
-                 { contact; state; at = Grid_sim.Engine.now engine });
-            Grid_obs.Obs.emit obs ~layer:"gram" "job.terminal"
-              [ ("contact", contact); ("state", state); ("resource", name) ]
-          | Grid_lrm.Lrm.Pending | Grid_lrm.Lrm.Running | Grid_lrm.Lrm.Suspended -> ()
-        end));
+  Option.iter
+    (fun store -> Grid_store.Store.set_snapshot_source store (snapshot_entries t.entries))
+    store;
+  (* One listener sees every started job's terminal transition: it trims
+     [lrm_contacts], journals the record a restarted job manager needs to
+     explain history (when durable — the surviving LRM stays
+     authoritative for current state), and emits [job.terminal], which
+     the fleet's route table and the safety monitor consume. *)
+  Grid_lrm.Lrm.on_event lrm (fun (Grid_lrm.Lrm.State_changed { job; _ }) ->
+      match Hashtbl.find_opt t.lrm_contacts job.Grid_lrm.Lrm.id with
+      | None -> ()
+      | Some contact -> begin
+        match job.Grid_lrm.Lrm.state with
+        | Grid_lrm.Lrm.Completed | Grid_lrm.Lrm.Cancelled | Grid_lrm.Lrm.Killed _ ->
+          Hashtbl.remove t.lrm_contacts job.Grid_lrm.Lrm.id;
+          let state = Grid_lrm.Lrm.state_to_string job.Grid_lrm.Lrm.state in
+          record_event t (Persist.Job_state { contact; state; at = Grid_sim.Engine.now engine });
+          Grid_obs.Obs.emit obs ~layer:"gram" "job.terminal"
+            [ ("contact", contact); ("state", state); ("resource", name) ]
+        | Grid_lrm.Lrm.Pending | Grid_lrm.Lrm.Running | Grid_lrm.Lrm.Suspended -> ()
+      end);
   t
 
 let name t = t.name
@@ -200,6 +200,9 @@ let submit_direct t ~credential ~rsl =
       | Ok (jmi, reply) ->
         let contact = Job_manager.contact jmi in
         Hashtbl.replace t.jmis contact jmi;
+        Option.iter
+          (fun lrm_id -> Hashtbl.replace t.lrm_contacts lrm_id contact)
+          (Job_manager.lrm_job_id jmi);
         let durable = Option.is_some t.store in
         if durable then begin
           let job = Job_manager.job jmi in
@@ -216,9 +219,6 @@ let submit_direct t ~credential ~rsl =
               created_at = now t }
           in
           Hashtbl.replace t.entries contact entry;
-          Option.iter
-            (fun lrm_id -> Hashtbl.replace t.lrm_contacts lrm_id contact)
-            entry.Persist.lrm_job;
           record_event t (Persist.Job_created entry)
         end;
         Grid_obs.Obs.emit t.obs ~layer:"gram" "job.created"
@@ -270,22 +270,8 @@ let journal_management t ~contact ~requester action result =
              at = now t })
   | Protocol.Status -> ()
 
-let manage_direct t ~requester ?credential ~contact action =
-  Grid_obs.Obs.ensure_correlation t.obs (fun () ->
-      let result =
-        match find_jmi t contact with
-        | None -> Error (Protocol.Unknown_job contact)
-        | Some jmi -> begin
-          match authenticate_requester t ~requester credential with
-          | Error e -> Error e
-          | Ok () -> Job_manager.manage jmi ~requester ?credential action
-        end
-      in
-      journal_management t ~contact ~requester action result;
-      result)
-
-(* One element of a management batch: the same inputs [manage_direct]
-   takes, as data. *)
+(* One element of a management batch: the inputs of [manage_direct], as
+   data. *)
 type manage_request = {
   requester : Grid_gsi.Dn.t;
   credential : Grid_gsi.Credential.t option;
@@ -293,44 +279,53 @@ type manage_request = {
   action : Protocol.management_action;
 }
 
-(* Batched [manage_direct]: resolve and authenticate every request
-   first, then authorize-and-perform all surviving requests through
-   [Job_manager.manage_many] — one callout batch for the whole tick in
-   extended mode. Lookup failures and authentication refusals answer in
-   place without consuming a callout, exactly as the single-request
-   path; journalling follows the same state-changing-actions-only rule.
+(* The one management lane. Every request is resolved and authenticated
+   first; lookup failures and authentication refusals answer in place
+   without consuming a callout. All surviving requests are then
+   authorized in one [Job_manager.authorize_many] call — one callout
+   batch in extended mode. Last, each request in order is audited and
+   performed, then journalled (state-changing actions only), so the
+   journal interleaves exactly as if the requests came one at a time.
    Results preserve request order. *)
 let manage_many_direct t (requests : manage_request array) :
     (Protocol.management_reply, Protocol.management_error) result array =
   Grid_obs.Obs.ensure_correlation t.obs (fun () ->
-      let n = Array.length requests in
-      let results = Array.make n (Error (Protocol.Invalid_request "unanswered")) in
-      let ready = ref [] in
-      for i = 0 to n - 1 do
-        let r = requests.(i) in
-        match find_jmi t r.contact with
-        | None -> results.(i) <- Error (Protocol.Unknown_job r.contact)
-        | Some jmi -> begin
-          match authenticate_requester t ~requester:r.requester r.credential with
-          | Error e -> results.(i) <- Error e
-          | Ok () -> ready := (i, jmi) :: !ready
-        end
-      done;
-      let ready = Array.of_list (List.rev !ready) in
-      let items =
+      let resolved =
         Array.map
-          (fun (i, jmi) ->
-            let r = requests.(i) in
-            (jmi, r.requester, r.credential, r.action))
-          ready
+          (fun r ->
+            match find_jmi t r.contact with
+            | None -> Error (Protocol.Unknown_job r.contact)
+            | Some jmi ->
+              Result.map (fun () -> jmi)
+                (authenticate_requester t ~requester:r.requester r.credential))
+          requests
       in
-      let replies = Job_manager.manage_many items in
-      Array.iteri (fun k (i, _) -> results.(i) <- replies.(k)) ready;
-      Array.iteri
+      let ready = ref [] in
+      for i = Array.length requests - 1 downto 0 do
+        match resolved.(i) with
+        | Ok jmi ->
+          let r = requests.(i) in
+          ready := (jmi, r.requester, r.credential, r.action) :: !ready
+        | Error _ -> ()
+      done;
+      let decisions = Job_manager.authorize_many t.mode (Array.of_list !ready) in
+      let next = ref 0 in
+      Array.mapi
         (fun i r ->
-          journal_management t ~contact:r.contact ~requester:r.requester r.action results.(i))
-        requests;
-      results)
+          let result =
+            match resolved.(i) with
+            | Error e -> Error e
+            | Ok jmi ->
+              let decision = decisions.(!next) in
+              incr next;
+              Job_manager.manage_decided jmi ~requester:r.requester r.action decision
+          in
+          journal_management t ~contact:r.contact ~requester:r.requester r.action result;
+          result)
+        requests)
+
+let manage_direct t ~requester ?credential ~contact action =
+  (manage_many_direct t [| { requester; credential; contact; action } |]).(0)
 
 (* --- Crash and recovery ------------------------------------------------ *)
 

@@ -39,7 +39,10 @@ val create :
     cancel/signal outcomes) is journalled through it, and the live job
     table serves as its snapshot source for compaction. [policy_epoch]
     (typically the compiled PEP's epoch counter) is recorded on each
-    admission and compared on {!recover}. *)
+    admission and compared on {!recover}.
+
+    Every started job's terminal LRM transition emits a [job.terminal]
+    event (contact, state, resource) on [obs], with or without a store. *)
 
 val name : t -> string
 val engine : t -> Grid_sim.Engine.t
@@ -112,9 +115,11 @@ val manage_direct :
   contact:string ->
   Protocol.management_action ->
   (Protocol.management_reply, Protocol.management_error) result
-(** When [credential] is given it is authenticated (chain, expiry,
-    revocation, single-use challenge) and must assert [requester];
-    credential-less calls are for in-process trusted callers only. *)
+(** One management request: {!manage_many_direct} of a one-element
+    batch. When [credential] is given it is authenticated (chain,
+    expiry, revocation, single-use challenge) and must assert
+    [requester]; credential-less calls are for in-process trusted
+    callers only. *)
 
 type manage_request = {
   requester : Grid_gsi.Dn.t;
@@ -129,12 +134,13 @@ val manage_many_direct :
   t ->
   manage_request array ->
   (Protocol.management_reply, Protocol.management_error) result array
-(** Batched {!manage_direct}: every request is resolved and
+(** The one management lane. Every request is resolved and
     authenticated individually, then all surviving requests are
-    authorized in one callout batch (the Extended mode's many lane) and
-    performed. Element-wise the answers, audit records, and journal
-    entries match the single-shot path; results come back in request
-    order. *)
+    authorized in one callout batch (the Extended mode's many lane).
+    Last, each request in order is audited, performed and journalled.
+    The answers, audit records of each kind, and journal records equal
+    those of the same requests sent one at a time; results come back in
+    request order. *)
 
 val submit :
   ?timeout:float ->

@@ -1,6 +1,6 @@
 (* The fleet's differential test-suite.
 
-   Four sections, each pinning a federation-level promise to the
+   Five sections, each pinning a federation-level promise to the
    single-resource ground truth:
 
    - differential: a 1-member fleet reached through the broker must be
@@ -11,6 +11,8 @@
      authorizes third-party management of tagged jobs wherever the fleet
      placed them, and the routed answer equals the owning member's local
      decision;
+   - route trimming: a store-less fleet forgets a job's route once the
+     job ends;
    - population: the subject synthesizer is a pure function of
      (seed, rank), zipfian in the documented shape, and O(1) resident;
    - broker churn: stale, deregistered and partitioned members are never
@@ -65,6 +67,11 @@ let manage_label ~contact result =
     | Error e -> "denied: " ^ Gram.Protocol.management_error_to_string e
   in
   replace_all ~sub:contact ~by:"<job>" raw
+
+(* In-process routed management of one request: a one-element batch. *)
+let routed_manage fleet ~requester ~contact action =
+  (Fleet.manage_many fleet
+     [| { Gram.Resource.requester; credential = None; contact; action } |]).(0)
 
 (* --- The pinned submission script -------------------------------------
 
@@ -195,7 +202,7 @@ let test_differential seed () =
             |> manage_label ~contact:contact_p
           in
           let b =
-            Fleet.manage_sync fleet ~requester ~contact:contact_f action
+            routed_manage fleet ~requester ~contact:contact_f action
             |> manage_label ~contact:contact_f
           in
           Alcotest.(check string)
@@ -240,7 +247,7 @@ let test_cross_resource_jobtag seed () =
         Gram.Resource.manage_direct (Fleet.member_resource member) ~requester:admin
           ~contact Gram.Protocol.Status
       in
-      let routed = Fleet.manage_sync fleet ~requester:admin ~contact Gram.Protocol.Status in
+      let routed = routed_manage fleet ~requester:admin ~contact Gram.Protocol.Status in
       Alcotest.(check string)
         (Printf.sprintf "routed = local at %s" site)
         (manage_label ~contact local)
@@ -259,7 +266,7 @@ let test_cross_resource_jobtag seed () =
     Gram.Resource.manage_direct (Fleet.member_resource member) ~requester:outsider
       ~contact Gram.Protocol.Cancel
   in
-  let routed = Fleet.manage_sync fleet ~requester:outsider ~contact Gram.Protocol.Cancel in
+  let routed = routed_manage fleet ~requester:outsider ~contact Gram.Protocol.Cancel in
   Alcotest.(check string) "outsider denied identically" (manage_label ~contact local)
     (manage_label ~contact routed);
   match routed with
@@ -267,6 +274,30 @@ let test_cross_resource_jobtag seed () =
   | Error e ->
     Alcotest.failf "wrong denial class: %s" (Gram.Protocol.management_error_to_string e)
   | Ok _ -> Alcotest.fail "outsider must not cancel"
+
+(* --- Route trimming ------------------------------------------------------
+
+   Every member emits [job.terminal] whether or not it keeps a store, so
+   a store-less fleet's route table drains as its jobs finish. *)
+
+let test_routes_trimmed_without_store () =
+  let w = Fusion.build ~fleet:2 () in
+  let fleet = Option.get w.Fusion.fleet in
+  Alcotest.(check bool) "members keep no store" true
+    (List.for_all (fun m -> Fleet.member_store m = None) (Fleet.members fleet));
+  let kate = Testbed.add_user w.Fusion.testbed Fusion.kate_keahey in
+  for i = 1 to 20 do
+    match
+      Fleet.submit_sync fleet ~identity:kate
+        ~rsl:"&(executable=TRANSP)(directory=/sandbox/test)(jobtag=NFC)(simduration=5)"
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "job %d unplaced: %s" i (Mds.Broker.error_to_string e)
+  done;
+  Alcotest.(check bool) "jobs routed while live" true (Fleet.routed_jobs fleet > 0);
+  Fleet.quiesce fleet;
+  Testbed.run w.Fusion.testbed;
+  Alcotest.(check int) "no route outlives its job" 0 (Fleet.routed_jobs fleet)
 
 (* --- Population synthesizer properties --------------------------------- *)
 
@@ -485,6 +516,8 @@ let () =
             Alcotest.test_case (Printf.sprintf "seed %d" seed) `Quick
               (test_cross_resource_jobtag seed))
           seeds );
+      ( "route trimming",
+        [ Alcotest.test_case "store-less fleet" `Quick test_routes_trimmed_without_store ] );
       ( "population",
         [ QCheck_alcotest.to_alcotest qcheck_dn_deterministic;
           QCheck_alcotest.to_alcotest qcheck_dn_distinct;

@@ -18,7 +18,7 @@ type world = {
   bo : Client.t;
 }
 
-let fig3_sources () =
+let fig3_sources ?(vo_extra = []) () =
   (* The VO policy is Figure 3 plus the GT2-compatible baseline right to
      manage one's own jobs, expressed with the language's [self] value. *)
   let self_management =
@@ -31,12 +31,12 @@ let fig3_sources () =
       (Grid_policy.Parse.parse
          (org ^ ": &(action = start)(queue != reserved) &(action = cancel) &(action = information) &(action = signal)"));
     Grid_policy.Combine.source ~name:"fusion-vo"
-      (Grid_policy.Figure3.get () @ self_management) ]
+      (Grid_policy.Figure3.get () @ self_management @ vo_extra) ]
 
 let gridmap_text = Printf.sprintf "%S keahey\n%S bliu\n" kate_dn bo_dn
 
 let build ?static_limits ?dynamic_accounts ?gatekeeper_pep ?network_of ?request_timeout
-    ?(nodes = 2) ?(cpus_per_node = 4) mode_of =
+    ?store ?(nodes = 2) ?(cpus_per_node = 4) mode_of =
   Grid_util.Ids.reset ();
   Grid_crypto.Keypair.reset_keystore ();
   let engine = Grid_sim.Engine.create () in
@@ -54,7 +54,7 @@ let build ?static_limits ?dynamic_accounts ?gatekeeper_pep ?network_of ?request_
   in
   let network = Option.map (fun f -> f engine) network_of in
   let resource =
-    Resource.create ?gatekeeper_pep ?network ?request_timeout ~trust ~mapper
+    Resource.create ?gatekeeper_pep ?network ?request_timeout ?store ~trust ~mapper
       ~mode:(mode_of ()) ~lrm ~engine ()
   in
   let kate = Client.create ~identity:(Grid_gsi.Identity.create ~ca ~now:0.0 kate_dn) ~resource () in
@@ -381,6 +381,104 @@ let test_management_credential_replay_rejected () =
   match Resource.manage_direct w.resource ~requester ~credential ~contact Protocol.Status with
   | Error (Protocol.Management_authentication_failed _) -> ()
   | _ -> Alcotest.fail "replayed management credential accepted"
+
+(* --- One management lane -------------------------------------------------
+
+   A batch answers, audits and journals exactly like the same requests
+   sent one at a time. Two identical durable worlds get the same mixed
+   batch: one as a single [manage_many_direct] call, the other as one
+   [manage_direct] call per request. *)
+
+(* Figure 3 plus a jobtag administrator: Kate may also query NFC jobs. *)
+let lane_sources () =
+  fig3_sources
+    ~vo_extra:(Grid_policy.Parse.parse (kate_dn ^ ": &(action = information)(jobtag = NFC)"))
+    ()
+
+(* Replies, journal records and audit records (per kind, in order) of
+   the mixed batch, sent through [send]. A batch shares one correlation
+   id by design, so audit records are compared without it. *)
+let lane_outcome ~extended send =
+  let store =
+    Grid_store.Store.create ~disk:(Grid_sim.Disk.create ~seed:7 ()) ~name:"jm" ()
+  in
+  let w =
+    build ~store (fun () ->
+        if extended then Mode.extended (Grid_callout.File_pep.of_sources (lane_sources ()))
+        else Mode.Gt2_baseline)
+  in
+  let rsl executable =
+    if extended then
+      Printf.sprintf
+        "&(executable=%s)(directory=/sandbox/test)(jobtag=NFC)(count=2)(simduration=1000)"
+        executable
+    else "&(executable=/bin/sim)(count=2)(simduration=1000)"
+  in
+  let submit client executable =
+    (ok_submit (Client.submit_sync client ~rsl:(rsl executable))).Protocol.job_contact
+  in
+  let kate_a = submit w.kate "TRANSP" in
+  let kate_b = submit w.kate "TRANSP" in
+  let bo_c = submit w.bo "test2" in
+  let kate = Grid_gsi.Dn.parse kate_dn and bo = Grid_gsi.Dn.parse bo_dn in
+  let request requester credential contact action =
+    { Resource.requester; credential; contact; action }
+  in
+  let batch =
+    [| (* an unknown contact *)
+       request kate None "jmi-999999" Protocol.Status;
+       (* Bo's valid credential asserting Kate's DN *)
+       request kate (Some (Client.credential_for w.bo)) kate_a Protocol.Cancel;
+       (* the owner's cancel *)
+       request kate (Some (Client.credential_for w.kate)) kate_a Protocol.Cancel;
+       (* a third party without a grant *)
+       request bo (Some (Client.credential_for w.bo)) kate_b Protocol.Cancel;
+       (* the jobtag administrator's status *)
+       request kate (Some (Client.credential_for w.kate)) bo_c Protocol.Status;
+       (* a duplicate of the owner's cancel *)
+       request kate (Some (Client.credential_for w.kate)) kate_a Protocol.Cancel |]
+  in
+  let replies =
+    Array.to_list (send w.resource batch)
+    |> List.map (function
+         | Ok Protocol.Ack -> "ack"
+         | Ok (Protocol.Job_status st) ->
+           "status " ^ Protocol.job_state_to_string st.Protocol.state
+         | Error e -> "error: " ^ Protocol.management_error_to_string e)
+  in
+  let journal = (Grid_store.Store.recover store).Grid_store.Store.journal_records in
+  let audit =
+    List.map
+      (fun kind ->
+        Grid_audit.Audit.by_kind (Resource.audit w.resource) kind
+        |> List.map (fun r ->
+               Fmt.str "%a" Grid_audit.Audit.pp_record { r with Grid_audit.Audit.corr_id = None }))
+      Grid_audit.Audit.
+        [ Authentication; Authorization; Account_mapping; Job_submission; Job_management;
+          Job_state; Recovery ]
+  in
+  (replies, journal, audit)
+
+let test_batch_equals_one_at_a_time ~extended () =
+  let batched = lane_outcome ~extended Resource.manage_many_direct in
+  let single =
+    lane_outcome ~extended (fun resource batch ->
+        Array.map
+          (fun (r : Resource.manage_request) ->
+            Resource.manage_direct resource ~requester:r.requester ?credential:r.credential
+              ~contact:r.contact r.action)
+          batch)
+  in
+  let replies_b, journal_b, audit_b = batched and replies_s, journal_s, audit_s = single in
+  Alcotest.(check (list string)) "replies" replies_s replies_b;
+  Alcotest.(check (list string)) "journal records" journal_s journal_b;
+  Alcotest.(check (list (list string))) "audit records per kind" audit_s audit_b;
+  (* the batch must exercise every branch, or equality proves little *)
+  Alcotest.(check bool) "some permitted, some refused" true
+    (List.mem "ack" replies_b && List.exists (String.starts_with ~prefix:"error") replies_b);
+  if extended then
+    Alcotest.(check bool) "jobtag admin reads another owner's job" true
+      (List.mem "status ACTIVE" replies_b)
 
 (* --- Coarse-grained VO allocations (Section 2) --------------------------- *)
 
@@ -781,6 +879,11 @@ let () =
           Alcotest.test_case "identity mismatch" `Quick
             test_management_rejects_identity_mismatch;
           Alcotest.test_case "replay" `Quick test_management_credential_replay_rejected ] );
+      ( "management-lane",
+        [ Alcotest.test_case "baseline: batch = one at a time" `Quick
+            (test_batch_equals_one_at_a_time ~extended:false);
+          Alcotest.test_case "extended: batch = one at a time" `Quick
+            (test_batch_equals_one_at_a_time ~extended:true) ] );
       ( "allocation",
         [ Alcotest.test_case "admits and settles" `Quick test_allocation_admits_and_settles;
           Alcotest.test_case "refuses over budget" `Quick test_allocation_refuses_over_budget;

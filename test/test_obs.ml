@@ -268,12 +268,14 @@ let test_end_to_end_metrics () =
 let test_end_to_end_spans () =
   let w = Core.Fusion.build () in
   let obs = Core.Gram.Resource.obs w.Core.Fusion.resource in
-  (match
-     Core.Gram.Client.submit_sync w.Core.Fusion.kate
-       ~rsl:"&(executable=TRANSP)(directory=/sandbox/test)(jobtag=NFC)(count=4)(simduration=30)"
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail (Core.Gram.Protocol.submit_error_to_string e));
+  let contact =
+    match
+      Core.Gram.Client.submit_sync w.Core.Fusion.kate
+        ~rsl:"&(executable=TRANSP)(directory=/sandbox/test)(jobtag=NFC)(count=4)(simduration=30)"
+    with
+    | Ok r -> r.Core.Gram.Protocol.job_contact
+    | Error e -> Alcotest.fail (Core.Gram.Protocol.submit_error_to_string e)
+  in
   Core.Testbed.run w.Core.Fusion.testbed;
   let tracer = Obs.tracer obs in
   (* The network round trip is the only stage with nonzero duration; the
@@ -298,7 +300,32 @@ let test_end_to_end_spans () =
   (* Rendering never raises and mentions the span names. *)
   let rendered = Fmt.str "%a" Span.pp tracer in
   Alcotest.(check bool) "forest renders" true
-    (Grid_util.Str_search.contains rendered "gram.request")
+    (Grid_util.Str_search.contains rendered "gram.request");
+  (* A management request is a batch of one: its callout span opens
+     first, then jmi.manage (audit + LRM action), both directly under
+     the request span. *)
+  (match Core.Gram.Client.manage_sync w.Core.Fusion.kate ~contact Core.Gram.Protocol.Status with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Core.Gram.Protocol.management_error_to_string e));
+  let req =
+    match
+      List.filter
+        (fun s -> List.assoc_opt "kind" s.Span.attrs = Some "manage")
+        (Span.find tracer ~name:"gram.request")
+    with
+    | [ req ] -> req
+    | _ -> Alcotest.fail "expected one manage gram.request span"
+  in
+  let under_request name =
+    List.filter (fun s -> s.Span.parent = Some req.Span.id) (Span.find tracer ~name)
+  in
+  match (under_request "authz.callout", under_request "jmi.manage") with
+  | [ callout ], [ manage ] ->
+    Alcotest.(check bool) "callout opens before jmi.manage" true
+      (callout.Span.id < manage.Span.id)
+  | callouts, manages ->
+    Alcotest.failf "expected one authz.callout and one jmi.manage under the request, got %d and %d"
+      (List.length callouts) (List.length manages)
 
 let test_disabled_observer_changes_nothing () =
   let tb = Core.Testbed.create () in
