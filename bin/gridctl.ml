@@ -714,7 +714,8 @@ let journal_show_cmd =
         let r = Core.Store.Journal.replay ~disk ~file in
         Printf.printf "# %s: %d records\n" file (List.length r.Core.Store.Journal.records);
         List.iter
-          (fun payload ->
+          (fun frame ->
+            let payload = Core.Store.Journal.payload frame in
             match Core.Gram.Persist.decode payload with
             | Ok event -> Fmt.pr "%a@." Core.Gram.Persist.pp_event event
             | Error _ -> Printf.printf "  (meta) %s\n" payload)

@@ -2,91 +2,93 @@
 
    The sealed container offers no crypto library, and the GSI substrate
    needs a real digest for certificate fingerprints and HMAC signatures.
-   This is a straightforward 32-bit implementation on [int32]. *)
+   Words are native [int]s masked to 32 bits (so the arithmetic never
+   boxes), message words are read in place with [String.get_int32_be],
+   and only the final one or two padded blocks are copied into a small
+   scratch buffer: a digest allocates its 64-word schedule, that tail
+   block and the 32-byte result, whatever the input length. *)
 
 type t = string (* 32 raw bytes *)
 
+(* 32-bit words held in native ints need at least 33 bits of int. *)
+let () = assert (Sys.int_size > 32)
+
+let mask = 0xffffffff
+
 let k =
-  [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
-     0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
-     0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
-     0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
-     0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
-     0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-     0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
-     0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
-     0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
-     0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
-     0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
-     0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-     0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l |]
+  [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b;
+     0x59f111f1; 0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01;
+     0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe; 0x9bdc06a7;
+     0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc;
+     0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152;
+     0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+     0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+     0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85;
+     0xa2bfe8a1; 0xa81a664b; 0xc24b8b70; 0xc76c51a3; 0xd192e819;
+     0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116; 0x1e376c08;
+     0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f;
+     0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
-let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
-let ( +% ) = Int32.add
-let ( ^% ) = Int32.logxor
-let ( &% ) = Int32.logand
-let lnot32 = Int32.lognot
+(* Rotate a 32-bit word (already in [0, 2^32)) right by [n]. *)
+let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
-let digest (msg : string) : t =
-  let len = String.length msg in
-  (* Padded length: message, 0x80, zeros, 8-byte big-endian bit length. *)
-  let padded_len =
-    let r = (len + 1 + 8) mod 64 in
-    len + 1 + 8 + (if r = 0 then 0 else 64 - r)
-  in
-  let block = Bytes.make padded_len '\000' in
-  Bytes.blit_string msg 0 block 0 len;
-  Bytes.set block len '\x80';
-  let bitlen = Int64.of_int (len * 8) in
-  for i = 0 to 7 do
-    Bytes.set block
-      (padded_len - 1 - i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bitlen (8 * i)) 0xFFL)))
+(* Fold the 64-byte block at [src.[off]] into the state [h], using [w]
+   as the message schedule. *)
+let compress h w (src : string) off =
+  for t = 0 to 15 do
+    w.(t) <- Int32.to_int (String.get_int32_be src (off + (t * 4))) land mask
   done;
-  let h = [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al;
-             0x510e527fl; 0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |] in
-  let w = Array.make 64 0l in
-  let nblocks = padded_len / 64 in
-  for b = 0 to nblocks - 1 do
-    let base = b * 64 in
-    for t = 0 to 15 do
-      let byte i = Int32.of_int (Char.code (Bytes.get block (base + (t * 4) + i))) in
-      w.(t) <-
-        Int32.logor (Int32.shift_left (byte 0) 24)
-          (Int32.logor (Int32.shift_left (byte 1) 16)
-             (Int32.logor (Int32.shift_left (byte 2) 8) (byte 3)))
-    done;
-    for t = 16 to 63 do
-      let s0 = rotr w.(t - 15) 7 ^% rotr w.(t - 15) 18 ^% Int32.shift_right_logical w.(t - 15) 3 in
-      let s1 = rotr w.(t - 2) 17 ^% rotr w.(t - 2) 19 ^% Int32.shift_right_logical w.(t - 2) 10 in
-      w.(t) <- w.(t - 16) +% s0 +% w.(t - 7) +% s1
-    done;
-    let a = ref h.(0) and bb = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-    let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-    for t = 0 to 63 do
-      let s1 = rotr !e 6 ^% rotr !e 11 ^% rotr !e 25 in
-      let ch = (!e &% !f) ^% (lnot32 !e &% !g) in
-      let t1 = !hh +% s1 +% ch +% k.(t) +% w.(t) in
-      let s0 = rotr !a 2 ^% rotr !a 13 ^% rotr !a 22 in
-      let maj = (!a &% !bb) ^% (!a &% !c) ^% (!bb &% !c) in
-      let t2 = s0 +% maj in
-      hh := !g; g := !f; f := !e; e := !d +% t1;
-      d := !c; c := !bb; bb := !a; a := t1 +% t2
-    done;
-    h.(0) <- h.(0) +% !a; h.(1) <- h.(1) +% !bb;
-    h.(2) <- h.(2) +% !c; h.(3) <- h.(3) +% !d;
-    h.(4) <- h.(4) +% !e; h.(5) <- h.(5) +% !f;
-    h.(6) <- h.(6) +% !g; h.(7) <- h.(7) +% !hh
+  for t = 16 to 63 do
+    let x = w.(t - 15) and y = w.(t - 2) in
+    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
   done;
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+  for t = 0 to 63 do
+    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+    let ch = (!e land !f) lxor (!e lxor mask land !g) in
+    let t1 = !hh + s1 + ch + k.(t) + w.(t) in
+    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
+    hh := !g; g := !f; f := !e; e := (!d + t1) land mask;
+    d := !c; c := !b; b := !a; a := (t1 + s0 + maj) land mask
+  done;
+  h.(0) <- (h.(0) + !a) land mask; h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask; h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask; h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask; h.(7) <- (h.(7) + !hh) land mask
+
+let digest_sub (msg : string) ~off ~len : t =
+  if off < 0 || len < 0 || off > String.length msg - len then
+    invalid_arg "Sha256.digest_sub";
+  let h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
+             0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |] in
+  let w = Array.make 64 0 in
+  let full = len / 64 in
+  for i = 0 to full - 1 do
+    compress h w msg (off + (i * 64))
+  done;
+  (* The rest of the message, 0x80, zeros and the 8-byte big-endian bit
+     length: one block when at most 55 bytes remain, two otherwise. *)
+  let rest = len - (full * 64) in
+  let tail_len = if rest < 56 then 64 else 128 in
+  let tail = Bytes.make tail_len '\000' in
+  Bytes.blit_string msg (off + (full * 64)) tail 0 rest;
+  Bytes.set tail rest '\x80';
+  Bytes.set_int64_be tail (tail_len - 8) (Int64.mul (Int64.of_int len) 8L);
+  let tail = Bytes.unsafe_to_string tail in
+  compress h w tail 0;
+  if tail_len = 128 then compress h w tail 64;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = h.(i) in
-    for j = 0 to 3 do
-      Bytes.set out ((i * 4) + j)
-        (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v (8 * (3 - j))) 0xFFl)))
-    done
+    Bytes.set_int32_be out (i * 4) (Int32.of_int h.(i))
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
+
+let digest msg = digest_sub msg ~off:0 ~len:(String.length msg)
 
 let to_hex (d : t) = Hex.encode d
 let digest_hex msg = to_hex (digest msg)

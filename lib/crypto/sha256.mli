@@ -9,6 +9,10 @@ type t = string
 
 val digest : string -> t
 
+val digest_sub : string -> off:int -> len:int -> t
+(** [digest_sub s ~off ~len = digest (String.sub s off len)], without
+    the copy. Raises [Invalid_argument] on a range outside [s]. *)
+
 val to_hex : t -> string
 
 val digest_hex : string -> string

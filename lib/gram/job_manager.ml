@@ -242,44 +242,35 @@ let start_inner t ~(credential : Grid_gsi.Credential.t option) :
         | Ok lrm_id ->
           t.lrm_job <- Some lrm_id;
           (* The job's lifetime outlives this call: a detached span from
-             submission to the terminal LRM state, closed from the state
-             change listener. *)
-          if Grid_obs.Obs.enabled t.obs then begin
-            let run_span =
-              Grid_obs.Obs.start_span t.obs
-                ~attrs:[ ("lrm_job", lrm_id); ("account", t.account) ]
-                "job.run"
-            in
-            Grid_lrm.Lrm.on_event t.lrm
-              (fun (Grid_lrm.Lrm.State_changed { job; _ }) ->
-                if String.equal job.Grid_lrm.Lrm.id lrm_id then begin
-                  match job.Grid_lrm.Lrm.state with
-                  | Grid_lrm.Lrm.Completed | Grid_lrm.Lrm.Cancelled
-                  | Grid_lrm.Lrm.Killed _ ->
-                    Grid_obs.Span.set_attr run_span "state"
-                      (Grid_lrm.Lrm.state_to_string job.Grid_lrm.Lrm.state);
-                    Grid_obs.Obs.finish_span t.obs run_span
-                  | Grid_lrm.Lrm.Pending | Grid_lrm.Lrm.Running
-                  | Grid_lrm.Lrm.Suspended -> ()
-                end)
-          end;
-          (match reservation with
-          | None -> ()
-          | Some reservation ->
+             submission to the terminal LRM state, and the allocation
+             settlement against actual walltime, are both closed by one
+             listener on this job, which the LRM drops at that state. *)
+          let run_span =
+            if Grid_obs.Obs.enabled t.obs then
+              Some
+                (Grid_obs.Obs.start_span t.obs
+                   ~attrs:[ ("lrm_job", lrm_id); ("account", t.account) ]
+                   "job.run")
+            else None
+          in
+          if Option.is_some run_span || Option.is_some reservation then begin
             let cpus = float_of_int spec.Grid_lrm.Lrm.cpus in
-            Grid_lrm.Lrm.on_event t.lrm
-              (fun (Grid_lrm.Lrm.State_changed { job; _ }) ->
-                if
-                  String.equal job.Grid_lrm.Lrm.id lrm_id
-                  &&
-                  match job.Grid_lrm.Lrm.state with
-                  | Grid_lrm.Lrm.Completed | Grid_lrm.Lrm.Cancelled
-                  | Grid_lrm.Lrm.Killed _ -> true
-                  | Grid_lrm.Lrm.Pending | Grid_lrm.Lrm.Running
-                  | Grid_lrm.Lrm.Suspended -> false
-                then
-                  Grid_accounts.Allocation.settle reservation
-                    ~actual:(cpus *. job.Grid_lrm.Lrm.walltime_used)));
+            Grid_lrm.Lrm.on_job t.lrm lrm_id (fun (Grid_lrm.Lrm.State_changed { job; _ }) ->
+                match job.Grid_lrm.Lrm.state with
+                | Grid_lrm.Lrm.Completed | Grid_lrm.Lrm.Cancelled | Grid_lrm.Lrm.Killed _ ->
+                  Option.iter
+                    (fun reservation ->
+                      Grid_accounts.Allocation.settle reservation
+                        ~actual:(cpus *. job.Grid_lrm.Lrm.walltime_used))
+                    reservation;
+                  Option.iter
+                    (fun run_span ->
+                      Grid_obs.Span.set_attr run_span "state"
+                        (Grid_lrm.Lrm.state_to_string job.Grid_lrm.Lrm.state);
+                      Grid_obs.Obs.finish_span t.obs run_span)
+                    run_span
+                | Grid_lrm.Lrm.Pending | Grid_lrm.Lrm.Running | Grid_lrm.Lrm.Suspended -> ())
+          end;
           Grid_audit.Audit.log t.audit ~at:(now t) ~kind:Grid_audit.Audit.Job_submission
             ~subject:t.owner ~job_id:t.contact ~outcome:Grid_audit.Audit.Success
             (Printf.sprintf "lrm job %s under account %s" lrm_id t.account);

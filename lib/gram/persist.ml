@@ -2,8 +2,8 @@
 
    Payloads are Grid_store.Codec field records (kind=... plus event
    fields), so the journal stays greppable and `gridctl journal show`
-   can print them verbatim. Snapshot entries reuse the Job_created
-   payload unchanged — one codec covers both files. *)
+   can print them verbatim. Snapshot entries copy the Job_created frame
+   byte for byte — one codec covers both files. *)
 
 type job_entry = {
   contact : string;
@@ -171,25 +171,27 @@ let pp_event ppf = function
 (* --- Rebuild ------------------------------------------------------------ *)
 
 type rebuild = {
-  entries : job_entry list;
+  entries : (job_entry * Grid_store.Journal.frame) list;
   events : int;
   decode_failures : int;
 }
 
 let rebuild ~snapshot ~journal =
-  let table : (string, job_entry) Hashtbl.t = Hashtbl.create 32 in
+  let table : (string, job_entry * Grid_store.Journal.frame) Hashtbl.t =
+    Hashtbl.create 32
+  in
   let order = ref [] in
   let events = ref 0 in
   let failures = ref 0 in
-  let absorb payload =
-    match decode payload with
+  let absorb frame =
+    match decode (Grid_store.Journal.payload frame) with
     | Error _ -> incr failures
     | Ok event ->
       incr events;
       (match event with
       | Job_created e ->
         if not (Hashtbl.mem table e.contact) then order := e.contact :: !order;
-        Hashtbl.replace table e.contact e
+        Hashtbl.replace table e.contact (e, frame)
       | Job_state _ | Management _ ->
         (* Only creation records carry state the JMI must be rebuilt
            from; states and management outcomes are history (the LRM

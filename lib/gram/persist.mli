@@ -6,7 +6,7 @@
     journalled through {!Grid_store.Store}: job creation (with the
     jobowner DN, jobtag, RSL fingerprint, sandbox limits and the policy
     epoch in force), terminal state transitions, and the outcome of each
-    cancel/signal. Snapshot records reuse the [Job_created] payload, so
+    cancel/signal. Snapshot records copy the [Job_created] frame, so
     one codec covers both files. *)
 
 type job_entry = {
@@ -44,12 +44,15 @@ val pp_event : event Fmt.t
 (** One-line human rendering for [gridctl journal show]. *)
 
 type rebuild = {
-  entries : job_entry list;  (** creation order, deduplicated by contact *)
+  entries : (job_entry * Grid_store.Journal.frame) list;
+      (** creation order, deduplicated by contact; each entry with the
+          verified frame it was decoded from *)
   events : int;  (** records decoded (snapshot + journal) *)
   decode_failures : int;
 }
 
-val rebuild : snapshot:string list -> journal:string list -> rebuild
+val rebuild :
+  snapshot:Grid_store.Journal.frame list -> journal:Grid_store.Journal.frame list -> rebuild
 (** Fold snapshot entries then journal events into the job table.
     Replay is idempotent: a [Job_created] for an already-known contact
     replaces the entry in place (covering the snapshot-rename-before-

@@ -7,6 +7,8 @@
    pure decision cost; the networked entry points model the wire hops of
    Figures 1 and 2 and are what the Client uses. *)
 
+module String_map = Map.Make (String)
+
 type t = {
   name : string;
   engine : Grid_sim.Engine.t;
@@ -22,9 +24,10 @@ type t = {
   store : Grid_store.Store.t option;
   policy_epoch : (unit -> int) option;
   jmis : (string, Job_manager.t) Hashtbl.t;
-  (* The journalled creation record per contact (the snapshot source),
-     only populated when [store] is present. *)
-  entries : (string, Persist.job_entry) Hashtbl.t;
+  (* The framed creation record per contact, exactly as journalled: the
+     snapshot source copies these bytes. Only populated when [store] is
+     present. *)
+  mutable entries : Grid_store.Journal.frame String_map.t;
   (* Scheduler id -> contact for every started job that has not reached a
      terminal state; drives [job.terminal] and terminal-state journalling. *)
   lrm_contacts : (string, string) Hashtbl.t;
@@ -49,18 +52,16 @@ let observe_faults ~obs network =
         Grid_obs.Obs.emit obs ~layer:"net" "net.fault"
           [ ("event", event_label); ("link", link) ])
 
-(* Serialize the live job table for snapshot compaction: one Job_created
-   record per contact, in sorted contact order so snapshots are
-   deterministic across runs with the same seed. *)
-let snapshot_entries entries () =
-  Hashtbl.fold (fun _ entry acc -> entry :: acc) entries []
-  |> List.sort (fun (a : Persist.job_entry) b -> String.compare a.contact b.contact)
-  |> List.map (fun entry -> Persist.encode (Persist.Job_created entry))
+(* The live job table for snapshot compaction: one Job_created frame per
+   contact, in sorted contact order so snapshots are deterministic across
+   runs with the same seed. Nothing is re-encoded or re-hashed. *)
+let snapshot_entries t () =
+  List.rev (String_map.fold (fun _ frame acc -> frame :: acc) t.entries [])
+
+let frame_event event = Grid_store.Journal.frame (Persist.encode event)
 
 let record_event t event =
-  match t.store with
-  | None -> ()
-  | Some store -> Grid_store.Store.append store (Persist.encode event)
+  Option.iter (fun store -> Grid_store.Store.append store (frame_event event)) t.store
 
 let create ?(name = "resource") ?network ?gatekeeper_pep ?allocation ?obs
     ?request_timeout ?authz_cache ?store ?policy_epoch ~trust ~mapper ~mode ~lrm ~engine
@@ -95,7 +96,7 @@ let create ?(name = "resource") ?network ?gatekeeper_pep ?allocation ?obs
   let t =
     { name; engine; network; gatekeeper; lrm; audit; trace; obs; request_timeout;
       authz_cache; mode; store; policy_epoch; jmis = Hashtbl.create 32;
-      entries = Hashtbl.create 32; lrm_contacts = Hashtbl.create 32 }
+      entries = String_map.empty; lrm_contacts = Hashtbl.create 32 }
   in
   (* Degraded authorization decisions belong in the audit trail, not just
      the event stream: a fail-open conversion is a security-relevant
@@ -117,7 +118,7 @@ let create ?(name = "resource") ?network ?gatekeeper_pep ?allocation ?obs
             (Printf.sprintf "backend outage: %s -> %s under %s" (attr "original")
                (attr "final") (attr "mode")));
   Option.iter
-    (fun store -> Grid_store.Store.set_snapshot_source store (snapshot_entries t.entries))
+    (fun store -> Grid_store.Store.set_snapshot_source store (snapshot_entries t))
     store;
   (* One listener sees every started job's terminal transition: it trims
      [lrm_contacts], journals the record a restarted job manager needs to
@@ -166,7 +167,9 @@ let jobs t = Hashtbl.fold (fun _ jmi acc -> jmi :: acc) t.jmis []
 (* GT2's callback contact: the client registers a listener and the Job
    Manager sends job state updates over the network as they happen. Only
    transitions after registration are delivered — the submit reply
-   already tells the client the initial state. *)
+   already tells the client the initial state. The listener is the
+   job's own, kept by the LRM (so it survives a job-manager crash) until
+   it has delivered the terminal state. *)
 let register_callback t ~contact ~(on_state_change : Protocol.job_state -> unit) =
   match find_jmi t contact with
   | None -> Error (Protocol.Unknown_job contact)
@@ -174,12 +177,10 @@ let register_callback t ~contact ~(on_state_change : Protocol.job_state -> unit)
     match Job_manager.lrm_job_id jmi with
     | None -> Error (Protocol.Invalid_request "job was never started")
     | Some lrm_id ->
-      Grid_lrm.Lrm.on_event t.lrm (fun (Grid_lrm.Lrm.State_changed { job; _ }) ->
-          if String.equal job.Grid_lrm.Lrm.id lrm_id then begin
-            let state = Protocol.job_state_of_lrm job.Grid_lrm.Lrm.state in
-            Grid_sim.Network.send ~link:"resource->client" t.network (fun () ->
-                on_state_change state)
-          end);
+      Grid_lrm.Lrm.on_job t.lrm lrm_id (fun (Grid_lrm.Lrm.State_changed { job; _ }) ->
+          let state = Protocol.job_state_of_lrm job.Grid_lrm.Lrm.state in
+          Grid_sim.Network.send ~link:"resource->client" t.network (fun () ->
+              on_state_change state));
       Ok ()
   end
 
@@ -203,8 +204,9 @@ let submit_direct t ~credential ~rsl =
         Option.iter
           (fun lrm_id -> Hashtbl.replace t.lrm_contacts lrm_id contact)
           (Job_manager.lrm_job_id jmi);
-        let durable = Option.is_some t.store in
-        if durable then begin
+        (match t.store with
+        | None -> ()
+        | Some store ->
           let job = Job_manager.job jmi in
           let entry =
             { Persist.contact;
@@ -218,13 +220,13 @@ let submit_direct t ~credential ~rsl =
               lrm_job = Job_manager.lrm_job_id jmi;
               created_at = now t }
           in
-          Hashtbl.replace t.entries contact entry;
-          record_event t (Persist.Job_created entry)
-        end;
+          let frame = frame_event (Persist.Job_created entry) in
+          t.entries <- String_map.add contact frame t.entries;
+          Grid_store.Store.append store frame);
         Grid_obs.Obs.emit t.obs ~layer:"gram" "job.created"
           ([ ("contact", contact);
              ("owner", Grid_gsi.Dn.to_string (Job_manager.owner jmi));
-             ("durable", string_of_bool durable);
+             ("durable", string_of_bool (Option.is_some t.store));
              ("resource", t.name) ]
           @ epoch_attr t);
         Ok reply)
@@ -337,7 +339,7 @@ let manage_direct t ~requester ?credential ~contact action =
 let crash t =
   let lost = Hashtbl.length t.jmis in
   Hashtbl.reset t.jmis;
-  Hashtbl.reset t.entries;
+  t.entries <- String_map.empty;
   Hashtbl.reset t.lrm_contacts;
   Option.iter Grid_store.Store.crash t.store;
   Grid_sim.Trace.record t.trace ~at:(now t) ~source:t.name ~target:t.name
@@ -382,7 +384,7 @@ let recover t =
     let restored = ref 0 in
     let failures = ref decode_failures in
     List.iter
-      (fun (e : Persist.job_entry) ->
+      (fun ((e : Persist.job_entry), frame) ->
         match Grid_rsl.Job.of_string e.Persist.rsl with
         | Error _ -> incr failures
         | Ok job ->
@@ -393,7 +395,7 @@ let recover t =
               ~lrm_job:e.Persist.lrm_job ()
           in
           Hashtbl.replace t.jmis e.Persist.contact jmi;
-          Hashtbl.replace t.entries e.Persist.contact e;
+          t.entries <- String_map.add e.Persist.contact frame t.entries;
           Option.iter
             (fun lrm_id -> Hashtbl.replace t.lrm_contacts lrm_id e.Persist.contact)
             e.Persist.lrm_job;

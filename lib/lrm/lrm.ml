@@ -82,6 +82,10 @@ type t = {
   mutable pending : job list;      (* insertion order; sorted at pass time *)
   mutable arrivals : int;
   mutable listeners : (event -> unit) list;
+  (* Listeners of one job, newest first; dropped at its terminal
+     transition, so a state change costs that job's listeners, not one
+     closure per job ever submitted. *)
+  per_job : (string, (event -> unit) list) Hashtbl.t;
 }
 
 type error =
@@ -116,16 +120,37 @@ let create ?(obs = Grid_obs.Obs.noop) ?(queues = default_queues) ~nodes ~cpus_pe
     jobs = Hashtbl.create 64;
     pending = [];
     arrivals = 0;
-    listeners = [] }
+    listeners = [];
+    per_job = Hashtbl.create 64 }
 
 let capacity t = List.fold_left (fun acc (n : node) -> acc + n.cpus) 0 t.nodes
 let queue_names t = List.map (fun q -> q.queue_name) t.queues
 let free_cpus t = List.fold_left (fun acc n -> acc + n.free) 0 t.nodes
 let cpus_in_use t = capacity t - free_cpus t
 
+let is_terminal = function
+  | Completed | Cancelled | Killed _ -> true
+  | Pending | Running | Suspended -> false
+
 let on_event t f = t.listeners <- f :: t.listeners
 
-let emit t ev = List.iter (fun f -> f ev) t.listeners
+let on_job t id f =
+  match Hashtbl.find_opt t.jobs id with
+  | Some job when not (is_terminal job.state) ->
+    let fs = Option.value ~default:[] (Hashtbl.find_opt t.per_job id) in
+    Hashtbl.replace t.per_job id (f :: fs)
+  | Some _ | None -> ()
+
+let job_listeners t = Hashtbl.fold (fun _ fs n -> n + List.length fs) t.per_job 0
+
+(* The job's own listeners first, then the cluster-wide ones. *)
+let emit t (State_changed { job; _ } as ev) =
+  (match Hashtbl.find_opt t.per_job job.id with
+  | None -> ()
+  | Some fs ->
+    if is_terminal job.state then Hashtbl.remove t.per_job job.id;
+    List.iter (fun f -> f ev) fs);
+  List.iter (fun f -> f ev) t.listeners
 
 (* Cluster occupancy gauges; refreshed on every allocation change. *)
 let update_gauges t =

@@ -81,7 +81,20 @@ val free_cpus : t -> int
 val cpus_in_use : t -> int
 
 val on_event : t -> (event -> unit) -> unit
-(** Observe every job state change (the JMI's monitoring hook). *)
+(** Observe every job state change (the resource-wide monitoring hook).
+    Listeners run newest first. *)
+
+val on_job : t -> string -> (event -> unit) -> unit
+(** [on_job t id f] observes the state changes of job [id] only (the
+    JMI's per-job hook). A job's listeners run newest first and before
+    every {!on_event} listener, and are dropped once the job reaches a
+    terminal state, right after seeing that transition. A listener for
+    a job that is unknown or already terminal is never called and not
+    kept. *)
+
+val job_listeners : t -> int
+(** Per-job listeners currently retained; 0 once every job has
+    finished. *)
 
 val submit : t -> spec -> (string, error) result
 (** Queue a job; returns its id. Scheduling happens immediately and on

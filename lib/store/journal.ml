@@ -2,7 +2,8 @@
 
    Frame layout: magic 0xA7, 4-byte big-endian payload length, 8-byte
    checksum (SHA-256 prefix of the payload), payload. 13 bytes of
-   header per record. *)
+   header per record. A frame is built once, from its payload, and its
+   bytes are what both the journal and every snapshot store. *)
 
 let magic = '\xa7'
 let header_bytes = 13
@@ -33,30 +34,29 @@ let file t = t.file
 let appends t = t.appends
 let bytes t = Grid_sim.Disk.size t.disk ~file:t.file
 
-let checksum payload = String.sub (Grid_crypto.Sha256.digest payload) 0 checksum_bytes
+type frame = string
 
 let frame payload =
   let len = String.length payload in
-  let buf = Buffer.create (header_bytes + len) in
-  Buffer.add_char buf magic;
-  Buffer.add_char buf (Char.chr ((len lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((len lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((len lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (len land 0xff));
-  Buffer.add_string buf (checksum payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+  if len > max_record_bytes then
+    invalid_arg
+      (Printf.sprintf "Journal.frame: payload of %d bytes exceeds the %d-byte bound" len
+         max_record_bytes);
+  let buf = Bytes.create (header_bytes + len) in
+  Bytes.set buf 0 magic;
+  Bytes.set_int32_be buf 1 (Int32.of_int len);
+  Bytes.blit_string (Grid_crypto.Sha256.digest payload) 0 buf 5 checksum_bytes;
+  Bytes.blit_string payload 0 buf header_bytes len;
+  Bytes.unsafe_to_string buf
+
+let payload frame = String.sub frame header_bytes (String.length frame - header_bytes)
 
 let sync t =
   ignore (Grid_sim.Disk.sync t.disk ~file:t.file);
   t.unsynced_appends <- 0
 
-let append t payload =
-  if String.length payload > max_record_bytes then
-    invalid_arg
-      (Printf.sprintf "Journal.append: payload of %d bytes exceeds the %d-byte bound"
-         (String.length payload) max_record_bytes);
-  Grid_sim.Disk.append t.disk ~file:t.file (frame payload);
+let append t (frame : frame) =
+  Grid_sim.Disk.append t.disk ~file:t.file frame;
   t.appends <- t.appends + 1;
   t.unsynced_appends <- t.unsynced_appends + 1;
   match t.sync_policy with
@@ -77,7 +77,7 @@ let corruption_to_string = function
   | Bad_magic { offset } -> Printf.sprintf "bad magic at byte %d" offset
 
 type replay = {
-  records : string list;
+  records : frame list;
   valid_bytes : int;
   dropped_bytes : int;
   corruption : corruption option;
@@ -120,14 +120,21 @@ let replay ~disk ~file =
           finished := true
         end
         else begin
-          let stored = String.sub data (at + 5) checksum_bytes in
-          let payload = String.sub data (at + header_bytes) len in
-          if not (String.equal stored (checksum payload)) then begin
+          (* The stored checksum is exactly 8 bytes: compare it with the
+             digest's prefix as one 64-bit word. *)
+          let digest =
+            Grid_crypto.Sha256.digest_sub data ~off:(at + header_bytes) ~len
+          in
+          if
+            not
+              (Int64.equal (String.get_int64_be data (at + 5))
+                 (String.get_int64_be digest 0))
+          then begin
             stop := Some (Checksum_mismatch { offset = at });
             finished := true
           end
           else begin
-            records := payload :: !records;
+            records := String.sub data at (header_bytes + len) :: !records;
             offset := at + header_bytes + len
           end
         end

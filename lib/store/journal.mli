@@ -22,9 +22,18 @@ val create : ?sync:sync_policy -> disk:Grid_sim.Disk.t -> file:string -> unit ->
 val disk : t -> Grid_sim.Disk.t
 val file : t -> string
 
-val append : t -> string -> unit
-(** Frame, checksum and write one payload, fsyncing per the policy.
-    Raises [Invalid_argument] on payloads over {!max_record_bytes}. *)
+type frame = private string
+(** One record's on-disk bytes: header, checksum and payload. *)
+
+val frame : string -> frame
+(** Frame and checksum one payload (one SHA-256). Raises
+    [Invalid_argument] on payloads over {!max_record_bytes}. *)
+
+val payload : frame -> string
+(** The payload a frame carries. *)
+
+val append : t -> frame -> unit
+(** Write one frame, fsyncing per the policy. *)
 
 val sync : t -> unit
 val appends : t -> int
@@ -46,7 +55,9 @@ type corruption =
 val corruption_to_string : corruption -> string
 
 type replay = {
-  records : string list;  (** verified payloads, append order *)
+  records : frame list;
+      (** verified frames, append order, each byte-identical to what
+          {!frame} built for it *)
   valid_bytes : int;  (** prefix length that replayed cleanly *)
   dropped_bytes : int;  (** bytes after [valid_bytes] *)
   corruption : corruption option;
@@ -56,7 +67,3 @@ type replay = {
 val replay : disk:Grid_sim.Disk.t -> file:string -> replay
 (** Replay a journal file. A missing file replays as empty. Idempotent:
     replaying twice yields identical results. *)
-
-val frame : string -> string
-(** The on-disk bytes for one payload — exposed for tests that build
-    corrupt journals by hand. *)

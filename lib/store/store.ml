@@ -4,7 +4,8 @@
    record (kind=snapshot-meta, seq, count), followed by one state record
    per entity. Compaction order — write tmp, fsync tmp, rename, truncate
    journal — is what gives the crash-window guarantees documented in the
-   interface. *)
+   interface. Entries arrive already framed, so a compaction copies
+   stored bytes and hashes only its own meta record. *)
 
 type t = {
   disk : Grid_sim.Disk.t;
@@ -12,7 +13,7 @@ type t = {
   obs : Grid_obs.Obs.t;
   journal : Journal.t;
   snapshot_every : int option;
-  mutable snapshot_source : (unit -> string list) option;
+  mutable snapshot_source : (unit -> Journal.frame list) option;
   mutable appends_since_snapshot : int;
   mutable snapshot_seq : int;
   mutable snapshots_taken : int;
@@ -80,20 +81,23 @@ let set_size_gauges t =
     gauge (snapshot_file t)
   end
 
-let meta_record ~seq ~count =
-  Codec.encode
-    [ ("kind", "snapshot-meta");
-      ("seq", string_of_int seq);
-      ("count", string_of_int count) ]
+let meta_frame ~seq ~count =
+  Journal.frame
+    (Codec.encode
+       [ ("kind", "snapshot-meta");
+         ("seq", string_of_int seq);
+         ("count", string_of_int count) ])
 
 let write_snapshot t source =
   let entries = source () in
+  let count = List.length entries in
   let tmp = tmp_file_of t.name in
   Grid_sim.Disk.delete t.disk ~file:tmp;
   t.snapshot_seq <- t.snapshot_seq + 1;
-  Grid_sim.Disk.append t.disk ~file:tmp
-    (Journal.frame (meta_record ~seq:t.snapshot_seq ~count:(List.length entries)));
-  List.iter (fun entry -> Grid_sim.Disk.append t.disk ~file:tmp (Journal.frame entry)) entries;
+  Grid_sim.Disk.append t.disk ~file:tmp (meta_frame ~seq:t.snapshot_seq ~count :> string);
+  List.iter
+    (fun (entry : Journal.frame) -> Grid_sim.Disk.append t.disk ~file:tmp (entry :> string))
+    entries;
   ignore (Grid_sim.Disk.sync t.disk ~file:tmp);
   Grid_sim.Disk.rename t.disk ~src:tmp ~dst:(snapshot_file t);
   Grid_sim.Disk.truncate t.disk ~file:(journal_file t);
@@ -101,15 +105,15 @@ let write_snapshot t source =
   t.snapshots_taken <- t.snapshots_taken + 1;
   if Grid_obs.Obs.enabled t.obs then begin
     Grid_obs.Obs.incr t.obs "store_snapshots_total";
-    Grid_obs.Obs.set_gauge t.obs "store_snapshot_records" (float_of_int (List.length entries))
+    Grid_obs.Obs.set_gauge t.obs "store_snapshot_records" (float_of_int count)
   end;
   set_size_gauges t
 
 let snapshot_now t =
   match t.snapshot_source with None -> () | Some source -> write_snapshot t source
 
-let append t payload =
-  Journal.append t.journal payload;
+let append t frame =
+  Journal.append t.journal frame;
   t.appends_since_snapshot <- t.appends_since_snapshot + 1;
   if Grid_obs.Obs.enabled t.obs then
     Grid_obs.Obs.incr t.obs ~labels:[ ("file", journal_file t) ] "store_appends_total";
@@ -124,8 +128,8 @@ let crash t = Grid_sim.Disk.crash t.disk
 (* --- Recovery ---------------------------------------------------------- *)
 
 type recovery = {
-  snapshot_records : string list;
-  journal_records : string list;
+  snapshot_records : Journal.frame list;
+  journal_records : Journal.frame list;
   snapshot_seq : int;
   dropped_bytes : int;
   tmp_discarded : bool;
@@ -139,7 +143,7 @@ let recover t =
   let seq, snapshot_records =
     match snap.Journal.records with
     | meta :: entries -> begin
-      let fields = Codec.decode meta in
+      let fields = Codec.decode (Journal.payload meta) in
       match (Codec.field fields "kind", Codec.field fields "seq") with
       | Some "snapshot-meta", Some seq ->
         ((match int_of_string_opt seq with Some s -> s | None -> 0), entries)

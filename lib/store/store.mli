@@ -35,12 +35,14 @@ val name : t -> string
 val journal_file : t -> string
 val snapshot_file : t -> string
 
-val set_snapshot_source : t -> (unit -> string list) -> unit
-(** Install the state serializer: called at compaction time to produce
-    one record per live entity. *)
+val set_snapshot_source : t -> (unit -> Journal.frame list) -> unit
+(** Install the state source: called at compaction time to produce one
+    framed record per live entity. The frames are copied into the
+    snapshot as they are, so an owner that keeps the frame it journalled
+    never encodes or hashes an entity twice. *)
 
-val append : t -> string -> unit
-(** Journal one event record; may trigger compaction per
+val append : t -> Journal.frame -> unit
+(** Journal one framed event record; may trigger compaction per
     [snapshot_every]. *)
 
 val appends : t -> int
@@ -58,8 +60,8 @@ val crash : t -> unit
 (** {1 Recovery} *)
 
 type recovery = {
-  snapshot_records : string list;  (** state entries from the snapshot *)
-  journal_records : string list;  (** events since that snapshot *)
+  snapshot_records : Journal.frame list;  (** state entries from the snapshot *)
+  journal_records : Journal.frame list;  (** events since that snapshot *)
   snapshot_seq : int;  (** 0 when no snapshot existed *)
   dropped_bytes : int;  (** corrupt/torn tail bytes discarded, both files *)
   tmp_discarded : bool;  (** an unfinished snapshot attempt was removed *)
@@ -67,8 +69,9 @@ type recovery = {
 
 val recover : t -> recovery
 (** Read back everything that survived. Discards a leftover
-    [.snapshot.tmp], replays the snapshot then the journal, drops
-    corrupt tails cleanly, and re-arms the store's snapshot counter so
+    [.snapshot.tmp], replays the snapshot then the journal (verifying
+    every checksum), drops corrupt tails cleanly, hands back the
+    verified frames, and re-arms the store's snapshot counter so
     subsequent appends continue compacting. Counted under
     [recovery_replayed_records_total]. *)
 

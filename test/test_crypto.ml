@@ -36,6 +36,24 @@ let test_sha_length_edge () =
   Alcotest.(check int) "digest length" 32 (String.length d56);
   Alcotest.(check bool) "distinct" false (String.equal d55 d56)
 
+(* Every length around the one- and two-block padding boundaries, over
+   bytes 0x00..0x77 (high bits included). Expected digests come from an
+   independent implementation (Python's hashlib). *)
+let test_sha_block_boundaries () =
+  List.iter
+    (fun (n, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d bytes" n)
+        expected
+        (Sha256.digest_hex (String.init n (fun i -> Char.chr (i land 0xff)))))
+    [ (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
+      (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562");
+      (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488");
+      (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108");
+      (65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781");
+      (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6");
+      (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c") ]
+
 (* --- HMAC-SHA-256: RFC 4231 ---------------------------------------- *)
 
 let test_hmac_rfc4231_case1 () =
@@ -152,6 +170,15 @@ let qcheck_sha_injective_on_samples =
     QCheck.(pair string string)
     (fun (a, b) -> a = b || Sha256.digest a <> Sha256.digest b)
 
+let qcheck_sha_digest_sub =
+  QCheck.Test.make ~name:"sha256 digest_sub = digest of the substring" ~count:200
+    QCheck.(triple string small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      String.equal (Sha256.digest_sub s ~off ~len) (Sha256.digest (String.sub s off len)))
+
 let qcheck_sha_length =
   QCheck.Test.make ~name:"sha256 digest is 32 bytes" ~count:200 QCheck.string (fun s ->
       String.length (Sha256.digest s) = 32)
@@ -166,7 +193,9 @@ let () =
           Alcotest.test_case "million a" `Slow test_sha_million_a;
           Alcotest.test_case "padding boundary" `Quick test_sha_length_edge;
           QCheck_alcotest.to_alcotest qcheck_sha_injective_on_samples;
-          QCheck_alcotest.to_alcotest qcheck_sha_length ] );
+          QCheck_alcotest.to_alcotest qcheck_sha_length;
+          Alcotest.test_case "block boundaries 55..120" `Quick test_sha_block_boundaries;
+          QCheck_alcotest.to_alcotest qcheck_sha_digest_sub ] );
       ( "hmac",
         [ Alcotest.test_case "rfc4231 case 1" `Quick test_hmac_rfc4231_case1;
           Alcotest.test_case "rfc4231 case 2" `Quick test_hmac_rfc4231_case2;

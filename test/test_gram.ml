@@ -446,7 +446,10 @@ let lane_outcome ~extended send =
            "status " ^ Protocol.job_state_to_string st.Protocol.state
          | Error e -> "error: " ^ Protocol.management_error_to_string e)
   in
-  let journal = (Grid_store.Store.recover store).Grid_store.Store.journal_records in
+  let journal =
+    List.map Grid_store.Journal.payload
+      (Grid_store.Store.recover store).Grid_store.Store.journal_records
+  in
   let audit =
     List.map
       (fun kind ->

@@ -242,6 +242,105 @@ let qcheck_all_jobs_terminate =
           | _ -> false)
         !ids)
 
+(* --- Per-job listeners ---------------------------------------------- *)
+
+let job_of (Grid_lrm.Lrm.State_changed { job; _ }) = job
+
+let terminal = function
+  | Grid_lrm.Lrm.Completed | Grid_lrm.Lrm.Cancelled | Grid_lrm.Lrm.Killed _ -> true
+  | Grid_lrm.Lrm.Pending | Grid_lrm.Lrm.Running | Grid_lrm.Lrm.Suspended -> false
+
+let test_job_listener_own_job_only () =
+  let engine, lrm = make ~nodes:1 ~cpus:1 () in
+  let a = ok (Grid_lrm.Lrm.submit lrm (spec ~duration:5.0 ())) in
+  let b = ok (Grid_lrm.Lrm.submit lrm (spec ~duration:5.0 ())) in
+  let seen = ref [] in
+  Grid_lrm.Lrm.on_job lrm b (fun ev ->
+      let job = job_of ev in
+      seen := (job.Grid_lrm.Lrm.id, Grid_lrm.Lrm.state_to_string job.Grid_lrm.Lrm.state) :: !seen);
+  ignore (ok (Grid_lrm.Lrm.cancel lrm a));
+  Engine.run engine;
+  Alcotest.(check (list (pair string string)))
+    "only b's transitions after registration"
+    [ (b, "running"); (b, "completed") ]
+    (List.rev !seen)
+
+let test_job_listener_before_global () =
+  let engine, lrm = make () in
+  let log = ref [] in
+  (* The cluster-wide listener is registered first, yet runs second. *)
+  Grid_lrm.Lrm.on_event lrm (fun ev ->
+      log := ("global", (job_of ev).Grid_lrm.Lrm.id) :: !log);
+  let id = ok (Grid_lrm.Lrm.submit lrm (spec ~duration:5.0 ())) in
+  Grid_lrm.Lrm.on_job lrm id (fun ev -> log := ("older", (job_of ev).Grid_lrm.Lrm.id) :: !log);
+  Grid_lrm.Lrm.on_job lrm id (fun ev -> log := ("newer", (job_of ev).Grid_lrm.Lrm.id) :: !log);
+  log := [];
+  ignore (ok (Grid_lrm.Lrm.suspend lrm id));
+  ignore (ok (Grid_lrm.Lrm.resume lrm id));
+  Engine.run engine;
+  (* suspended, pending, running, completed *)
+  Alcotest.(check (list string)) "job listeners newest first, then global"
+    (List.concat (List.init 4 (fun _ -> [ "newer"; "older"; "global" ])))
+    (List.rev_map fst !log)
+
+let test_job_listener_retired_at_terminal () =
+  let engine, lrm = make ~nodes:1 ~cpus:1 () in
+  let id = ok (Grid_lrm.Lrm.submit lrm (spec ~duration:5.0 ())) in
+  let states = ref [] in
+  let record ev = states := (job_of ev).Grid_lrm.Lrm.state :: !states in
+  Grid_lrm.Lrm.on_job lrm id record;
+  ignore (ok (Grid_lrm.Lrm.suspend lrm id));
+  ignore (ok (Grid_lrm.Lrm.resume lrm id));
+  Engine.run engine;
+  Alcotest.(check (list string)) "every transition up to the terminal one"
+    [ "suspended"; "pending"; "running"; "completed" ]
+    (List.rev_map Grid_lrm.Lrm.state_to_string !states);
+  (* Nothing the job or the cluster does afterwards reaches it, and a
+     listener registered on a finished job is never called. *)
+  Grid_lrm.Lrm.on_job lrm id record;
+  ignore (Grid_lrm.Lrm.set_priority lrm id 5);
+  (match Grid_lrm.Lrm.cancel lrm id with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "cancelling a completed job must fail");
+  let other = ok (Grid_lrm.Lrm.submit lrm (spec ~duration:1.0 ())) in
+  Engine.run engine;
+  check_state "other job ran" lrm other Grid_lrm.Lrm.Completed;
+  Alcotest.(check int) "no call after the terminal transition" 4 (List.length !states);
+  Alcotest.(check int) "nothing retained" 0 (Grid_lrm.Lrm.job_listeners lrm)
+
+(* Completed, cancelled (pending, running and suspended) and
+   walltime-killed jobs all drop their listeners: the retained count
+   returns to 0 once every job has finished. *)
+let test_job_listeners_drain () =
+  let engine, lrm = make ~nodes:2 ~cpus:2 () in
+  let calls_after_terminal = ref 0 in
+  let ids =
+    List.init 12 (fun i ->
+        let walltime = if i mod 4 = 3 then Some 2.0 else None in
+        let id =
+          ok (Grid_lrm.Lrm.submit lrm (spec ~duration:(float_of_int (3 + i)) ?walltime ()))
+        in
+        let finished = ref false in
+        Grid_lrm.Lrm.on_job lrm id (fun ev ->
+            if !finished then incr calls_after_terminal;
+            if terminal (job_of ev).Grid_lrm.Lrm.state then finished := true);
+        id)
+  in
+  Alcotest.(check int) "one listener per live job" 12 (Grid_lrm.Lrm.job_listeners lrm);
+  ignore (ok (Grid_lrm.Lrm.cancel lrm (List.nth ids 0)));
+  ignore (ok (Grid_lrm.Lrm.cancel lrm (List.nth ids 11)));
+  ignore (ok (Grid_lrm.Lrm.suspend lrm (List.nth ids 1)));
+  Engine.run_until engine 1.0;
+  ignore (ok (Grid_lrm.Lrm.cancel lrm (List.nth ids 1)));
+  Alcotest.(check int) "cancelled jobs dropped theirs" 9 (Grid_lrm.Lrm.job_listeners lrm);
+  Engine.run engine;
+  List.iter
+    (fun id -> Alcotest.(check bool) ("terminal " ^ id) true (terminal (state_of lrm id)))
+    ids;
+  Alcotest.(check int) "none retained once every job finished" 0
+    (Grid_lrm.Lrm.job_listeners lrm);
+  Alcotest.(check int) "never called after the terminal transition" 0 !calls_after_terminal
+
 let () =
   Alcotest.run "grid_lrm"
     [ ( "lifecycle",
@@ -268,4 +367,9 @@ let () =
           Alcotest.test_case "set_priority reorders" `Quick test_set_priority_reorders ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest qcheck_no_oversubscription;
-          QCheck_alcotest.to_alcotest qcheck_all_jobs_terminate ] ) ]
+          QCheck_alcotest.to_alcotest qcheck_all_jobs_terminate ] );
+      ( "listeners",
+        [ Alcotest.test_case "own job only" `Quick test_job_listener_own_job_only;
+          Alcotest.test_case "before global listeners" `Quick test_job_listener_before_global;
+          Alcotest.test_case "retired at terminal" `Quick test_job_listener_retired_at_terminal;
+          Alcotest.test_case "retained count drains to 0" `Quick test_job_listeners_drain ] ) ]

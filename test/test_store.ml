@@ -15,6 +15,19 @@ let disk ?faults ?(seed = 4242) () = Sim.Disk.create ?faults ~seed ()
 let torn_always =
   Sim.Disk.Faults.profile ~torn_write:1.0 ()
 
+(* Journal and store take framed records; these tests speak payloads. *)
+let journal_append j payload = Store.Journal.append j (Store.Journal.frame payload)
+let payloads frames = List.map Store.Journal.payload frames
+
+(* A store whose snapshot source is every payload appended so far. *)
+let store_with_history s =
+  let live = ref [] in
+  Store.Store.set_snapshot_source s (fun () -> List.rev !live);
+  fun payload ->
+    let frame = Store.Journal.frame payload in
+    live := frame :: !live;
+    Store.Store.append s frame
+
 (* --- Journal framing under corruption --------------------------------- *)
 
 (* A partial final frame (the classic truncated tail): replay keeps the
@@ -22,12 +35,13 @@ let torn_always =
 let test_truncated_tail () =
   let d = disk () in
   let j = Store.Journal.create ~disk:d ~file:"t.journal" () in
-  List.iter (Store.Journal.append j) [ "alpha"; "beta"; "gamma" ];
-  let frame = Store.Journal.frame "delta" in
+  List.iter (journal_append j) [ "alpha"; "beta"; "gamma" ];
+  let frame = (Store.Journal.frame "delta" :> string) in
   Sim.Disk.append d ~file:"t.journal" (String.sub frame 0 (String.length frame - 3));
   ignore (Sim.Disk.sync d ~file:"t.journal");
   let r = Store.Journal.replay ~disk:d ~file:"t.journal" in
-  Alcotest.(check (list string)) "prefix survives" [ "alpha"; "beta"; "gamma" ] r.Store.Journal.records;
+  Alcotest.(check (list string)) "prefix survives" [ "alpha"; "beta"; "gamma" ]
+    (payloads r.Store.Journal.records);
   Alcotest.(check bool) "tail dropped" true (r.Store.Journal.dropped_bytes > 0);
   (match r.Store.Journal.corruption with
   | Some (Store.Journal.Truncated_frame _) -> ()
@@ -45,14 +59,14 @@ let test_torn_final_record () =
     (fun seed ->
       let d = disk ~faults:torn_always ~seed () in
       let j = Store.Journal.create ~sync:Store.Journal.Manual ~disk:d ~file:"t.journal" () in
-      List.iter (Store.Journal.append j) [ "alpha"; "beta" ];
+      List.iter (journal_append j) [ "alpha"; "beta" ];
       Store.Journal.sync j;
-      Store.Journal.append j "unsynced-final-record";
+      journal_append j "unsynced-final-record";
       Sim.Disk.crash d;
       let r = Store.Journal.replay ~disk:d ~file:"t.journal" in
       Alcotest.(check (list string))
         (Printf.sprintf "seed %d: synced prefix survives" seed)
-        [ "alpha"; "beta" ] r.Store.Journal.records;
+        [ "alpha"; "beta" ] (payloads r.Store.Journal.records);
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: torn record dropped or vanished" seed)
         true
@@ -64,12 +78,12 @@ let test_torn_final_record () =
 let test_bit_rot_checksum () =
   let d = disk () in
   let j = Store.Journal.create ~disk:d ~file:"t.journal" () in
-  List.iter (Store.Journal.append j) [ "first"; "second"; "third" ];
-  let first_len = String.length (Store.Journal.frame "first") in
+  List.iter (journal_append j) [ "first"; "second"; "third" ];
+  let first_len = String.length (Store.Journal.frame "first" :> string) in
   (* Flip a byte inside the *second* record's payload. *)
   Sim.Disk.corrupt d ~file:"t.journal" ~at:(first_len + 14);
   let r = Store.Journal.replay ~disk:d ~file:"t.journal" in
-  Alcotest.(check (list string)) "clean prefix" [ "first" ] r.Store.Journal.records;
+  Alcotest.(check (list string)) "clean prefix" [ "first" ] (payloads r.Store.Journal.records);
   (match r.Store.Journal.corruption with
   | Some (Store.Journal.Checksum_mismatch { offset }) ->
     Alcotest.(check int) "fails at record 2" first_len offset
@@ -82,13 +96,14 @@ let test_bit_rot_checksum () =
 let test_replay_idempotent () =
   let d = disk ~faults:torn_always ~seed:99 () in
   let j = Store.Journal.create ~sync:Store.Journal.Manual ~disk:d ~file:"t.journal" () in
-  List.iter (Store.Journal.append j) [ "a"; "b"; "c" ];
+  List.iter (journal_append j) [ "a"; "b"; "c" ];
   Store.Journal.sync j;
-  Store.Journal.append j "torn";
+  journal_append j "torn";
   Sim.Disk.crash d;
   let r1 = Store.Journal.replay ~disk:d ~file:"t.journal" in
   let r2 = Store.Journal.replay ~disk:d ~file:"t.journal" in
-  Alcotest.(check (list string)) "same records" r1.Store.Journal.records r2.Store.Journal.records;
+  Alcotest.(check (list string)) "same records" (payloads r1.Store.Journal.records)
+    (payloads r2.Store.Journal.records);
   Alcotest.(check int) "same valid bytes" r1.Store.Journal.valid_bytes r2.Store.Journal.valid_bytes;
   Alcotest.(check int) "same dropped bytes" r1.Store.Journal.dropped_bytes r2.Store.Journal.dropped_bytes
 
@@ -100,12 +115,7 @@ let test_replay_idempotent () =
 let test_crash_during_snapshot_fallback () =
   let d = disk () in
   let s = Store.Store.create ~disk:d ~name:"jm" () in
-  let live = ref [] in
-  Store.Store.set_snapshot_source s (fun () -> List.rev !live);
-  let add r =
-    live := r :: !live;
-    Store.Store.append s r
-  in
+  let add = store_with_history s in
   List.iter add [ "one"; "two" ];
   Store.Store.snapshot_now s;
   List.iter add [ "three"; "four" ];
@@ -117,28 +127,22 @@ let test_crash_during_snapshot_fallback () =
   Alcotest.(check bool) "tmp gone from disk" false
     (Sim.Disk.exists d ~file:(Store.Store.snapshot_file s ^ ".tmp"));
   Alcotest.(check (list string)) "old snapshot intact" [ "one"; "two" ]
-    r.Store.Store.snapshot_records;
+    (payloads r.Store.Store.snapshot_records);
   Alcotest.(check (list string)) "journal since snapshot" [ "three"; "four" ]
-    r.Store.Store.journal_records
+    (payloads r.Store.Store.journal_records)
 
 (* Compaction keeps the recover-time view equal to the full history:
    snapshot records followed by post-snapshot journal records. *)
 let test_snapshot_compaction_roundtrip () =
   let d = disk () in
   let s = Store.Store.create ~snapshot_every:3 ~disk:d ~name:"jm" () in
-  let live = ref [] in
-  Store.Store.set_snapshot_source s (fun () -> List.rev !live);
   let all = List.init 10 (fun i -> Printf.sprintf "record-%02d" i) in
-  List.iter
-    (fun r ->
-      live := r :: !live;
-      Store.Store.append s r)
-    all;
+  List.iter (store_with_history s) all;
   Alcotest.(check bool) "compaction happened" true (Store.Store.snapshots_taken s > 0);
   Store.Store.crash s;
   let r = Store.Store.recover s in
   Alcotest.(check (list string)) "snapshot + journal = history" all
-    (r.Store.Store.snapshot_records @ r.Store.Store.journal_records);
+    (payloads (r.Store.Store.snapshot_records @ r.Store.Store.journal_records));
   Alcotest.(check (list (pair string string))) "verify clean" []
     (List.filter_map
        (fun c ->
@@ -153,19 +157,13 @@ let test_snapshot_compaction_roundtrip () =
 let qcheck_store_preserves_history =
   QCheck.Test.make ~name:"recover returns full append history" ~count:60
     QCheck.(triple small_int (int_range 1 5) (small_list (string_of_size Gen.small_nat)))
-    (fun (seed, snapshot_every, payloads) ->
+    (fun (seed, snapshot_every, history) ->
       let d = disk ~seed:(seed + 1) () in
       let s = Store.Store.create ~snapshot_every ~disk:d ~name:"jm" () in
-      let live = ref [] in
-      Store.Store.set_snapshot_source s (fun () -> List.rev !live);
-      List.iter
-        (fun r ->
-          live := r :: !live;
-          Store.Store.append s r)
-        payloads;
+      List.iter (store_with_history s) history;
       Store.Store.crash s;
       let r = Store.Store.recover s in
-      r.Store.Store.snapshot_records @ r.Store.Store.journal_records = payloads)
+      payloads (r.Store.Store.snapshot_records @ r.Store.Store.journal_records) = history)
 
 (* --- Job-table recovery equals the live table ------------------------- *)
 
@@ -312,6 +310,139 @@ let test_recovery_observable () =
   Alcotest.(check bool) "appends counted" true
     (counter ~labels:[ ("file", journal_file) ] "store_appends_total" >= 1.0)
 
+(* --- Snapshots copy the journalled frames ------------------------------ *)
+
+let run_workload ?backend ~jobs ~seed ~snapshot_every () =
+  let w = Fusion.build ?backend ~nodes:8 ~cpus_per_node:8 ~store:true ?snapshot_every () in
+  ignore
+    (Workload.run
+       ~engine:(Testbed.engine w.Fusion.testbed)
+       ~resource:w.Fusion.resource ~profiles:(workload_profiles w)
+       { Workload.default_config with Workload.job_count = jobs; arrival_rate = 15.0; seed });
+  let store =
+    match Gram.Resource.store w.Fusion.resource with
+    | Some store -> store
+    | None -> Alcotest.fail "world built without a store"
+  in
+  (w, store)
+
+let file_bytes store file =
+  Option.value ~default:"" (Sim.Disk.read (Store.Store.disk store) ~file)
+
+let framed_bytes frames =
+  String.concat "" (List.map (fun (f : Store.Journal.frame) -> (f :> string)) frames)
+
+(* A durable resource's snapshot file is its meta record followed by
+   [Journal.frame (Persist.encode (Job_created e))] for every live entry
+   in contact order. The expected entries are decoded from the files on
+   disk and encoded and framed afresh, independently of the frames the
+   resource keeps. *)
+let test_snapshot_bytes_are_framed_entries () =
+  List.iter
+    (fun (jobs, seed, snapshot_every) ->
+      let _, store = run_workload ~jobs ~seed ~snapshot_every () in
+      let replay file =
+        (Store.Journal.replay ~disk:(Store.Store.disk store) ~file).Store.Journal.records
+      in
+      let snapshot =
+        match replay (Store.Store.snapshot_file store) with [] -> [] | _meta :: entries -> entries
+      in
+      let live =
+        (Gram.Persist.rebuild ~snapshot ~journal:(replay (Store.Store.journal_file store)))
+          .Gram.Persist.entries
+        |> List.map fst
+        |> List.sort (fun (a : Gram.Persist.job_entry) b ->
+               String.compare a.Gram.Persist.contact b.Gram.Persist.contact)
+      in
+      Store.Store.snapshot_now store;
+      let meta =
+        Store.Journal.frame
+          (Store.Codec.encode
+             [ ("kind", "snapshot-meta");
+               ("seq", string_of_int (Store.Store.snapshots_taken store));
+               ("count", string_of_int (List.length live)) ])
+      in
+      let expected =
+        framed_bytes
+          (meta
+          :: List.map
+               (fun e -> Store.Journal.frame (Gram.Persist.encode (Gram.Persist.Job_created e)))
+               live)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d seed=%d: some live entries" jobs seed)
+        true (live <> []);
+      Alcotest.(check string)
+        (Printf.sprintf "jobs=%d seed=%d: snapshot = meta + framed entries" jobs seed)
+        expected
+        (file_bytes store (Store.Store.snapshot_file store)))
+    [ (25, 7, None); (40, 42, Some 8) ]
+
+(* Recovery keeps the frames it verified: after a crash and [recover],
+   the next snapshot is byte-identical to the one an uncrashed twin
+   writes. The twins authorize through a permit-all custom callout,
+   which stamps no policy epoch: epochs come from a process-wide
+   counter, so two policy-compiling worlds in one process never share
+   them. *)
+let test_recovered_snapshot_matches_twin () =
+  List.iter
+    (fun (jobs, seed, snapshot_every) ->
+      let snapshot_after ~crash =
+        let w, store =
+          run_workload ~backend:(`Custom Callout.Callout.permit_all) ~jobs ~seed
+            ~snapshot_every ()
+        in
+        if crash then begin
+          Gram.Resource.crash w.Fusion.resource;
+          ignore (Gram.Resource.recover w.Fusion.resource)
+        end;
+        Store.Store.snapshot_now store;
+        file_bytes store (Store.Store.snapshot_file store)
+      in
+      let twin = snapshot_after ~crash:false in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d seed=%d: twin snapshot has entries" jobs seed)
+        true
+        (String.length twin > 200);
+      Alcotest.(check string)
+        (Printf.sprintf "jobs=%d seed=%d: recovered snapshot = twin" jobs seed)
+        twin (snapshot_after ~crash:true))
+    [ (12, 3, None); (40, 42, Some 8) ]
+
+(* The LRM is a separate process: a job's listeners (run span, client
+   callback) outlive a job-manager crash, deliver the terminal state,
+   and are then dropped. *)
+let test_job_listeners_survive_crash () =
+  let w = Fusion.build ~store:true () in
+  let contact =
+    match
+      Gram.Client.submit_sync w.Fusion.kate
+        ~rsl:
+          "&(executable=TRANSP)(directory=/sandbox/test)(jobtag=NFC)(count=4)(simduration=100000)"
+    with
+    | Ok r -> r.Gram.Protocol.job_contact
+    | Error e -> Alcotest.failf "submit: %s" (Gram.Protocol.submit_error_to_string e)
+  in
+  let resource = w.Fusion.resource in
+  let states = ref [] in
+  (match
+     Gram.Resource.register_callback resource ~contact ~on_state_change:(fun st ->
+         states := Gram.Protocol.job_state_to_string st :: !states)
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "register_callback: %s" (Gram.Protocol.management_error_to_string e));
+  let lrm = Gram.Resource.lrm resource in
+  Alcotest.(check bool) "listeners held for the live job" true (Lrm.Lrm.job_listeners lrm > 0);
+  Gram.Resource.crash resource;
+  ignore (Gram.Resource.recover resource);
+  (match Gram.Client.manage_sync w.Fusion.kate ~contact Gram.Protocol.Cancel with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "cancel: %s" (Gram.Protocol.management_error_to_string e));
+  Sim.Engine.run (Testbed.engine w.Fusion.testbed);
+  Alcotest.(check (list string)) "callback delivered the terminal state after the crash"
+    [ "CANCELED" ] !states;
+  Alcotest.(check int) "no listener outlives its job" 0 (Lrm.Lrm.job_listeners lrm)
+
 (* --- Persist codec ----------------------------------------------------- *)
 
 let roundtrip event =
@@ -366,18 +497,19 @@ let test_persist_roundtrip () =
 let test_rebuild_idempotent () =
   let owner = Gsi.Dn.parse "/O=Grid/O=Demo/CN=Alice" in
   let entry contact =
-    Gram.Persist.encode
-      (Gram.Persist.Job_created
-         { Gram.Persist.contact;
-           owner;
-           account = "alice";
-           jobtag = None;
-           rsl = "&(executable=simulate)";
-           rsl_fingerprint = String.make 64 '0';
-           policy_epoch = None;
-           limits = Accounts.Sandbox.unrestricted;
-           lrm_job = None;
-           created_at = 0.0 })
+    Store.Journal.frame
+      (Gram.Persist.encode
+         (Gram.Persist.Job_created
+            { Gram.Persist.contact;
+              owner;
+              account = "alice";
+              jobtag = None;
+              rsl = "&(executable=simulate)";
+              rsl_fingerprint = String.make 64 '0';
+              policy_epoch = None;
+              limits = Accounts.Sandbox.unrestricted;
+              lrm_job = None;
+              created_at = 0.0 }))
   in
   let records = [ entry "jmi-1"; entry "jmi-2" ] in
   let r = Gram.Persist.rebuild ~snapshot:records ~journal:records in
@@ -385,7 +517,12 @@ let test_rebuild_idempotent () =
   Alcotest.(check int) "all records decoded" 4 r.Gram.Persist.events;
   Alcotest.(check int) "no failures" 0 r.Gram.Persist.decode_failures;
   Alcotest.(check (list string)) "creation order kept" [ "jmi-1"; "jmi-2" ]
-    (List.map (fun (e : Gram.Persist.job_entry) -> e.Gram.Persist.contact) r.Gram.Persist.entries)
+    (List.map
+       (fun ((e : Gram.Persist.job_entry), _) -> e.Gram.Persist.contact)
+       r.Gram.Persist.entries);
+  Alcotest.(check (list string)) "each entry keeps its verified frame"
+    (List.map (fun (f : Store.Journal.frame) -> (f :> string)) records)
+    (List.map (fun (_, (f : Store.Journal.frame)) -> (f :> string)) r.Gram.Persist.entries)
 
 let () =
   Alcotest.run "grid_store"
@@ -398,13 +535,19 @@ let () =
         [ Alcotest.test_case "crash during snapshot falls back" `Quick
             test_crash_during_snapshot_fallback;
           Alcotest.test_case "compaction roundtrip" `Quick test_snapshot_compaction_roundtrip;
-          QCheck_alcotest.to_alcotest qcheck_store_preserves_history ] );
+          QCheck_alcotest.to_alcotest qcheck_store_preserves_history;
+          Alcotest.test_case "snapshot bytes = framed live entries" `Quick
+            test_snapshot_bytes_are_framed_entries ] );
       ( "recovery",
         [ Alcotest.test_case "rebuilds job table" `Quick test_recovery_rebuilds_job_table;
           QCheck_alcotest.to_alcotest qcheck_recovery_equals_live_table;
           Alcotest.test_case "decision equivalence after crash" `Quick
             test_decision_equivalence_after_crash;
-          Alcotest.test_case "recovery observable" `Quick test_recovery_observable ] );
+          Alcotest.test_case "recovery observable" `Quick test_recovery_observable;
+          Alcotest.test_case "recovered snapshot = uncrashed twin" `Quick
+            test_recovered_snapshot_matches_twin;
+          Alcotest.test_case "job listeners survive a crash" `Quick
+            test_job_listeners_survive_crash ] );
       ( "persist",
         [ Alcotest.test_case "codec roundtrip" `Quick test_persist_roundtrip;
           Alcotest.test_case "rebuild idempotent" `Quick test_rebuild_idempotent ] ) ]
