@@ -410,21 +410,29 @@ let t6_rsl_parse () =
 (* ------------------------------------------------------------------ *)
 (* T7: dynamic account pool                                             *)
 
+(* A fresh holder's acquire and release against a pool already holding
+   [held] leases (the population case): the cost the request path pays
+   for everyone else's leases. Each pool is built and timed on its own,
+   so a large pool's heap does not slow the smaller rows. *)
 let t7_accounts () =
   section "T7: dynamic account pool operations";
-  let tests =
-    List.map
-      (fun size ->
-        let pool = Accounts.Pool.create ~size ~lease_lifetime:1e9 () in
-        let holder = Gsi.Dn.parse "/O=Bench/CN=Holder" in
-        Test.make
-          ~name:(Printf.sprintf "pool/%04d-acquire-release" size)
+  let pool_row held =
+    let pool = Accounts.Pool.create ~size:(held + 1) ~lease_lifetime:1e9 () in
+    for i = 1 to held do
+      let holder = Gsi.Dn.parse (Printf.sprintf "/O=Bench/OU=Pool/CN=Holder %d" i) in
+      match Accounts.Pool.acquire pool ~now:0.0 ~holder with
+      | Ok _ -> ()
+      | Error e -> failwith (Accounts.Pool.error_to_string e)
+    done;
+    let holder = Gsi.Dn.parse "/O=Bench/OU=Pool/CN=Fresh Holder" in
+    run_tests
+      [ Test.make
+          ~name:(Printf.sprintf "pool/%04d-held-acquire-release" held)
           (Staged.stage (fun () ->
                match Accounts.Pool.acquire pool ~now:0.0 ~holder with
                | Ok lease ->
                  ignore (Accounts.Pool.release pool ~lease_id:lease.Accounts.Pool.lease_id)
-               | Error e -> failwith (Accounts.Pool.error_to_string e))))
-      [ 10; 100; 1000 ]
+               | Error e -> failwith (Accounts.Pool.error_to_string e))) ]
   in
   let gridmap =
     Gsi.Gridmap.parse
@@ -436,7 +444,8 @@ let t7_accounts () =
     Test.make ~name:"gridmap/100-entries-lookup"
       (Staged.stage (fun () -> ignore (Gsi.Gridmap.lookup gridmap probe)))
   in
-  print_table "account resolution" (run_tests (static :: tests))
+  print_table "account resolution"
+    (run_tests [ static ] @ List.concat_map pool_row [ 10; 100; 1000; 8192 ])
 
 (* ------------------------------------------------------------------ *)
 (* T8: PEP placement ablation (Section 5.2 discusses multiple decision  *)

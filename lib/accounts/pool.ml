@@ -7,7 +7,16 @@
    grid identity for a limited time, is renewed on reuse, and is reclaimed
    on release or expiry. A holder that already has a live lease gets the
    same account back — account state (files, quotas) stays coherent within
-   a session. *)
+   a session.
+
+   Nothing here is sized by the pool. Leases are indexed by holder and by
+   lease id; account [i] is named when it is granted. The free
+   accounts are every slot at or above the high-water mark [next] plus the
+   [freed] slots below it, so the lowest free slot is [min freed] if any,
+   else [next]. [next - 1] is always leased (the mark drops when the top
+   slot is freed), and [next] only grows when [freed] is empty, so both
+   are bounded by the peak number of live leases. Expiry is a map ordered
+   by deadline; a renewal re-keys its lease. *)
 
 type lease = {
   lease_id : string;
@@ -17,10 +26,28 @@ type lease = {
   mutable expires_at : Grid_sim.Clock.time;
 }
 
+type entry = { lease : lease; slot : int }
+
+module Int_set = Set.Make (Int)
+
+(* Slots are unique among outstanding leases, so they break deadline ties. *)
+module Deadlines = Map.Make (struct
+  type t = Grid_sim.Clock.time * int
+
+  let compare (a, i) (b, j) =
+    let c = Grid_sim.Clock.compare a b in
+    if c <> 0 then c else Int.compare i j
+end)
+
 type t = {
-  accounts : string list;
+  prefix : string;
+  size : int;
   lease_lifetime : Grid_sim.Clock.time;
-  mutable leases : lease list;
+  by_holder : entry Grid_gsi.Dn.Tbl.t;
+  by_id : (string, entry) Hashtbl.t;
+  mutable deadlines : entry Deadlines.t;
+  mutable next : int;
+  mutable freed : Int_set.t;
   mutable grants : int;
   mutable reuses : int;
   mutable exhaustions : int;
@@ -37,61 +64,112 @@ let error_to_string = function
 
 let create ?(prefix = "grid") ~size ~lease_lifetime () =
   if size <= 0 then invalid_arg "Pool.create: size must be positive";
-  { accounts = List.init size (fun i -> Printf.sprintf "%s%03d" prefix i);
+  { prefix;
+    size;
     lease_lifetime;
-    leases = [];
+    by_holder = Grid_gsi.Dn.Tbl.create 16;
+    by_id = Hashtbl.create 16;
+    deadlines = Deadlines.empty;
+    next = 0;
+    freed = Int_set.empty;
     grants = 0;
     reuses = 0;
     exhaustions = 0 }
 
-let live_leases t ~now = List.filter (fun l -> now <= l.expires_at) t.leases
+let deadline e = (e.lease.expires_at, e.slot)
 
-(* Reclaim expired leases; returns how many were collected. *)
+let take_slot t =
+  match Int_set.min_elt_opt t.freed with
+  | Some slot ->
+    t.freed <- Int_set.remove slot t.freed;
+    Some slot
+  | None when t.next < t.size ->
+    t.next <- t.next + 1;
+    Some (t.next - 1)
+  | None -> None
+
+let rec free_slot t slot =
+  if slot = t.next - 1 then begin
+    t.next <- slot;
+    match Int_set.max_elt_opt t.freed with
+    | Some top when top = slot - 1 ->
+      t.freed <- Int_set.remove top t.freed;
+      free_slot t top
+    | Some _ | None -> ()
+  end
+  else t.freed <- Int_set.add slot t.freed
+
+let forget t e =
+  t.deadlines <- Deadlines.remove (deadline e) t.deadlines;
+  Grid_gsi.Dn.Tbl.remove t.by_holder e.lease.holder;
+  Hashtbl.remove t.by_id e.lease.lease_id;
+  free_slot t e.slot
+
+(* Reclaim expired leases; returns how many were collected. A lease is
+   live while [now <= expires_at]. *)
 let expire t ~now =
-  let before = List.length t.leases in
-  t.leases <- live_leases t ~now;
-  before - List.length t.leases
+  let rec go collected =
+    match Deadlines.min_binding_opt t.deadlines with
+    | Some ((expires_at, _), e) when now > expires_at ->
+      forget t e;
+      go (collected + 1)
+    | Some _ | None -> collected
+  in
+  go 0
 
 let acquire t ~now ~holder =
   ignore (expire t ~now);
-  match List.find_opt (fun l -> Grid_gsi.Dn.equal l.holder holder) t.leases with
-  | Some lease ->
+  match Grid_gsi.Dn.Tbl.find_opt t.by_holder holder with
+  | Some e ->
     (* Renew rather than double-allocate. *)
-    lease.expires_at <- Grid_sim.Clock.add now t.lease_lifetime;
+    t.deadlines <- Deadlines.remove (deadline e) t.deadlines;
+    e.lease.expires_at <- Grid_sim.Clock.add now t.lease_lifetime;
+    t.deadlines <- Deadlines.add (deadline e) e t.deadlines;
     t.reuses <- t.reuses + 1;
-    Ok lease
+    Ok e.lease
   | None -> begin
-    let in_use = List.map (fun l -> l.account) t.leases in
-    match List.find_opt (fun a -> not (List.mem a in_use)) t.accounts with
+    match take_slot t with
     | None ->
       t.exhaustions <- t.exhaustions + 1;
-      Error (Pool_exhausted { size = List.length t.accounts })
-    | Some account ->
+      Error (Pool_exhausted { size = t.size })
+    | Some slot ->
       let lease =
         { lease_id = Grid_util.Ids.lease ();
-          account;
+          account = Printf.sprintf "%s%03d" t.prefix slot;
           holder;
           granted_at = now;
           expires_at = Grid_sim.Clock.add now t.lease_lifetime }
       in
+      let e = { lease; slot } in
+      Grid_gsi.Dn.Tbl.replace t.by_holder holder e;
+      Hashtbl.replace t.by_id lease.lease_id e;
+      t.deadlines <- Deadlines.add (deadline e) e t.deadlines;
       t.grants <- t.grants + 1;
-      t.leases <- lease :: t.leases;
       Ok lease
   end
 
 let release t ~lease_id =
-  if List.exists (fun l -> l.lease_id = lease_id) t.leases then begin
-    t.leases <- List.filter (fun l -> l.lease_id <> lease_id) t.leases;
+  match Hashtbl.find_opt t.by_id lease_id with
+  | Some e ->
+    forget t e;
     Ok ()
-  end
-  else Error (Unknown_lease lease_id)
+  | None -> Error (Unknown_lease lease_id)
+
+(* The queries below walk every lease held; none is on the request path. *)
 
 let holder_of t ~account ~now =
-  List.find_opt (fun l -> l.account = account) (live_leases t ~now)
-  |> Option.map (fun l -> l.holder)
+  Hashtbl.fold
+    (fun _ e found ->
+      if now <= e.lease.expires_at && String.equal e.lease.account account then
+        Some e.lease.holder
+      else found)
+    t.by_id None
 
-let size t = List.length t.accounts
-let in_use t ~now = List.length (live_leases t ~now)
+let size t = t.size
+
+let in_use t ~now =
+  Hashtbl.fold (fun _ e n -> if now <= e.lease.expires_at then n + 1 else n) t.by_id 0
+
 let available t ~now = size t - in_use t ~now
 
 type stats = { total_grants : int; total_reuses : int; total_exhaustions : int }

@@ -1,7 +1,12 @@
 (** Dynamic account pool: time-limited leases of template accounts to grid
-    identities (paper Section 6.1). *)
+    identities (paper Section 6.1).
 
-type lease = {
+    A new holder gets the lowest-numbered free account. {!acquire},
+    {!release} and {!expire} cost O(log live leases) per lease touched;
+    {!holder_of}, {!in_use} and {!available} walk the live leases. Memory
+    is proportional to the leases outstanding, not to the pool's size. *)
+
+type lease = private {
   lease_id : string;
   account : string;
   holder : Grid_gsi.Dn.t;
@@ -22,10 +27,11 @@ val create : ?prefix:string -> size:int -> lease_lifetime:Grid_sim.Clock.time ->
     [size <= 0]. *)
 
 val acquire : t -> now:Grid_sim.Clock.time -> holder:Grid_gsi.Dn.t -> (lease, error) result
-(** Grant (or renew) a lease for the holder. A holder with a live lease
-    gets the same account back. *)
+(** Reclaim the leases expired at [now], then grant (or renew) a lease for
+    the holder. A holder with a live lease gets the same account back. *)
 
 val release : t -> lease_id:string -> (unit, error) result
+(** Also releases a lease that has expired but not been reclaimed yet. *)
 
 val expire : t -> now:Grid_sim.Clock.time -> int
 (** Reclaim expired leases; returns the number collected. *)

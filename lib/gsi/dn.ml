@@ -39,6 +39,18 @@ let equal a b =
 
 let compare a b = String.compare (to_string a) (to_string b)
 
+let hash t =
+  List.fold_left
+    (fun h { attr; value } -> Hashtbl.seeded_hash (Hashtbl.seeded_hash h attr) value)
+    0 t
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
 (* [is_prefix p t]: every component of [p] matches the corresponding leading
    component of [t]. A DN is a prefix of itself. *)
 let is_prefix p t =

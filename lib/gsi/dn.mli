@@ -13,6 +13,14 @@ val pp : t Fmt.t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+val hash : t -> int
+(** Consistent with {!equal}. Folds every component, so DNs that differ
+    only in a trailing [CN] hash apart ([Hashtbl.hash] stops after ten
+    meaningful values). *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed on DNs under {!equal}. *)
+
 val is_prefix : t -> t -> bool
 (** [is_prefix p t] holds when [p]'s components are the leading components
     of [t]; the policy language's group statements use this. Reflexive. *)

@@ -11,7 +11,11 @@
    scans pending jobs in (queue priority, job priority, arrival) order and
    starts every job that fits — i.e. priority-ordered first-fit with
    skipping (small low-priority jobs may backfill around a large blocked
-   one; adequate for a simulator substrate).
+   one; adequate for a simulator substrate). The pending jobs are kept in
+   that order, and the free CPU total and the running and pending counts
+   are kept as they change, so a pass stops as soon as the cluster is full
+   and the information provider reads counts instead of folding every job
+   ever submitted.
 
    Walltime accounting: a job's walltime budget is consumed only while
    running (it survives suspension); exceeding it kills the job, mirroring
@@ -72,14 +76,34 @@ type job = {
 type event =
   | State_changed of { job : job; from_state : state }
 
+(* Scheduling order; total, since arrivals are unique. *)
+let job_order a b =
+  let by_queue = Int.compare b.queue.priority a.queue.priority in
+  if by_queue <> 0 then by_queue
+  else
+    let by_prio = Int.compare b.priority a.priority in
+    if by_prio <> 0 then by_prio else Int.compare a.arrival b.arrival
+
+(* Keyed on [job_order]: a queued job's priority changes only while it is
+   out of the set. *)
+module Queue_order = Set.Make (struct
+  type t = job
+
+  let compare = job_order
+end)
+
 type t = {
   engine : Grid_sim.Engine.t;
   obs : Grid_obs.Obs.t;
   nodes : node list;
+  capacity : int;
+  mutable free_total : int;        (* sum of every node's [free] *)
   queues : queue_config list;
   default_queue : queue_config;
   jobs : (string, job) Hashtbl.t;
-  mutable pending : job list;      (* insertion order; sorted at pass time *)
+  mutable pending : Queue_order.t; (* exactly the jobs queued to start *)
+  mutable running_count : int;
+  mutable pending_count : int;
   mutable arrivals : int;
   mutable listeners : (event -> unit) list;
   (* Listeners of one job, newest first; dropped at its terminal
@@ -115,18 +139,24 @@ let create ?(obs = Grid_obs.Obs.noop) ?(queues = default_queues) ~nodes ~cpus_pe
   { engine;
     obs;
     nodes = List.init nodes (fun i -> { node_id = i; cpus = cpus_per_node; free = cpus_per_node });
+    capacity = nodes * cpus_per_node;
+    free_total = nodes * cpus_per_node;
     queues;
     default_queue = List.hd queues;
     jobs = Hashtbl.create 64;
-    pending = [];
+    pending = Queue_order.empty;
+    running_count = 0;
+    pending_count = 0;
     arrivals = 0;
     listeners = [];
     per_job = Hashtbl.create 64 }
 
-let capacity t = List.fold_left (fun acc (n : node) -> acc + n.cpus) 0 t.nodes
+let capacity t = t.capacity
 let queue_names t = List.map (fun q -> q.queue_name) t.queues
-let free_cpus t = List.fold_left (fun acc n -> acc + n.free) 0 t.nodes
-let cpus_in_use t = capacity t - free_cpus t
+let free_cpus t = t.free_total
+let cpus_in_use t = t.capacity - t.free_total
+let running_count t = t.running_count
+let pending_count t = t.pending_count
 
 let is_terminal = function
   | Completed | Cancelled | Killed _ -> true
@@ -167,10 +197,18 @@ let terminal_label = function
   | Killed _ -> "killed"
   | Pending | Running | Suspended -> assert false
 
+let count_state t state delta =
+  match state with
+  | Pending -> t.pending_count <- t.pending_count + delta
+  | Running -> t.running_count <- t.running_count + delta
+  | Suspended | Completed | Cancelled | Killed _ -> ()
+
 let set_state t job state =
   let from_state = job.state in
   if from_state <> state then begin
     job.state <- state;
+    count_state t from_state (-1);
+    count_state t state 1;
     (if Grid_obs.Obs.enabled t.obs then
        match state with
        | Completed | Cancelled | Killed _ ->
@@ -198,8 +236,9 @@ let find_job t id =
 
 (* First-fit across nodes; jobs may span nodes. *)
 let try_allocate t cpus =
-  if free_cpus t < cpus then None
+  if t.free_total < cpus then None
   else begin
+    t.free_total <- t.free_total - cpus;
     let needed = ref cpus in
     let taken = ref [] in
     List.iter
@@ -215,17 +254,14 @@ let try_allocate t cpus =
     Some !taken
   end
 
-let release allocation =
-  List.iter (fun (node, n) -> node.free <- node.free + n) allocation
+let release t allocation =
+  List.iter
+    (fun (node, n) ->
+      node.free <- node.free + n;
+      t.free_total <- t.free_total + n)
+    allocation
 
 (* --- Scheduling ------------------------------------------------------ *)
-
-let job_order a b =
-  let by_queue = compare b.queue.priority a.queue.priority in
-  if by_queue <> 0 then by_queue
-  else
-    let by_prio = compare b.priority a.priority in
-    if by_prio <> 0 then by_prio else compare a.arrival b.arrival
 
 (* Remaining walltime budget: the tighter of job and queue caps. *)
 let walltime_left job =
@@ -236,30 +272,35 @@ let walltime_left job =
   | [] -> infinity
   | caps -> List.fold_left min infinity caps -. job.walltime_used
 
+(* Walks the queue as it stood when the pass began (listeners may change
+   it meanwhile), and stops once no CPU is free: every job needs one. *)
 let rec schedule_pass t =
   let now = Grid_sim.Engine.now t.engine in
-  let candidates = List.sort job_order t.pending in
   let started = ref false in
-  List.iter
-    (fun job ->
-      if job.state = Pending then begin
-        match try_allocate t job.spec.cpus with
-        | None -> ()
-        | Some allocation ->
-          t.pending <- List.filter (fun j -> j != job) t.pending;
-          job.allocation <- allocation;
-          job.started_at <- now;
-          job.generation <- job.generation + 1;
-          started := true;
-          set_state t job Running;
-          let budget = walltime_left job in
-          let run_for = min job.remaining budget in
-          let generation = job.generation in
-          let timeout = job.remaining > budget in
-          Grid_sim.Engine.schedule_after t.engine run_for (fun () ->
-              complete t job ~generation ~timeout)
-      end)
-    candidates;
+  let rec scan candidates =
+    if t.free_total > 0 then
+      match candidates () with
+      | Seq.Nil -> ()
+      | Seq.Cons (job, rest) ->
+        (if job.state = Pending then
+           match try_allocate t job.spec.cpus with
+           | None -> ()
+           | Some allocation ->
+             t.pending <- Queue_order.remove job t.pending;
+             job.allocation <- allocation;
+             job.started_at <- now;
+             job.generation <- job.generation + 1;
+             started := true;
+             set_state t job Running;
+             let budget = walltime_left job in
+             let run_for = min job.remaining budget in
+             let generation = job.generation in
+             let timeout = job.remaining > budget in
+             Grid_sim.Engine.schedule_after t.engine run_for (fun () ->
+                 complete t job ~generation ~timeout));
+        scan rest
+  in
+  scan (Queue_order.to_seq t.pending);
   if !started then update_gauges t
 
 and complete t job ~generation ~timeout =
@@ -269,7 +310,7 @@ and complete t job ~generation ~timeout =
     let ran = now -. job.started_at in
     job.walltime_used <- job.walltime_used +. ran;
     job.remaining <- Float.max 0.0 (job.remaining -. ran);
-    release job.allocation;
+    release t job.allocation;
     job.allocation <- [];
     update_gauges t;
     if timeout then set_state t job (Killed "walltime exceeded")
@@ -322,7 +363,8 @@ let submit t (spec : spec) =
           arrival = t.arrivals }
       in
       Hashtbl.replace t.jobs job.id job;
-      t.pending <- t.pending @ [ job ];
+      t.pending <- Queue_order.add job t.pending;
+      t.pending_count <- t.pending_count + 1;
       emit t (State_changed { job; from_state = Pending });
       schedule_pass t;
       Ok job.id
@@ -334,7 +376,7 @@ let checkpoint_run t job =
   let ran = now -. job.started_at in
   job.walltime_used <- job.walltime_used +. ran;
   job.remaining <- Float.max 0.0 (job.remaining -. ran);
-  release job.allocation;
+  release t job.allocation;
   job.allocation <- [];
   update_gauges t;
   job.generation <- job.generation + 1
@@ -345,7 +387,7 @@ let cancel t id =
   | Ok job -> begin
     match job.state with
     | Pending ->
-      t.pending <- List.filter (fun j -> j != job) t.pending;
+      t.pending <- Queue_order.remove job t.pending;
       set_state t job Cancelled;
       Ok id
     | Running ->
@@ -380,8 +422,8 @@ let resume t id =
   | Ok job -> begin
     match job.state with
     | Suspended ->
+      t.pending <- Queue_order.add job t.pending;
       set_state t job Pending;
-      t.pending <- job :: t.pending;
       schedule_pass t;
       Ok id
     | Pending | Running | Completed | Cancelled | Killed _ ->
@@ -392,7 +434,10 @@ let set_priority t id priority =
   match find_job t id with
   | Error _ as e -> e
   | Ok job ->
+    let queued = Queue_order.mem job t.pending in
+    if queued then t.pending <- Queue_order.remove job t.pending;
     job.priority <- priority;
+    if queued then t.pending <- Queue_order.add job t.pending;
     schedule_pass t;
     Ok id
 
@@ -427,13 +472,19 @@ let running_jobs t = List.filter (fun j -> j.state = Running) (jobs t)
 let pending_jobs t = List.filter (fun j -> j.state = Pending) (jobs t)
 
 (* Invariant checked by the property tests: allocations never exceed any
-   node's capacity, and bookkeeping is consistent. *)
+   node's capacity, and bookkeeping is consistent: the kept totals, counts
+   and queue agree with the nodes and the job table. *)
 let invariant_holds t =
   List.for_all (fun n -> n.free >= 0 && n.free <= n.cpus) t.nodes
+  && t.free_total = List.fold_left (fun acc n -> acc + n.free) 0 t.nodes
   &&
+  let running = running_jobs t and pending = pending_jobs t in
   let allocated =
     List.fold_left
       (fun acc j -> acc + List.fold_left (fun a (_, c) -> a + c) 0 j.allocation)
-      0 (running_jobs t)
+      0 running
   in
   allocated = cpus_in_use t
+  && t.running_count = List.length running
+  && t.pending_count = List.length pending
+  && List.equal ( == ) (Queue_order.elements t.pending) (List.sort job_order pending)

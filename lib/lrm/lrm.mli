@@ -80,6 +80,11 @@ val queue_names : t -> string list
 val free_cpus : t -> int
 val cpus_in_use : t -> int
 
+val running_count : t -> int
+val pending_count : t -> int
+(** Jobs now running / queued to start; O(1), unlike the lengths of
+    {!running_jobs} and {!pending_jobs}. *)
+
 val on_event : t -> (event -> unit) -> unit
 (** Observe every job state change (the resource-wide monitoring hook).
     Listeners run newest first. *)
@@ -123,4 +128,5 @@ val running_jobs : t -> job list
 val pending_jobs : t -> job list
 
 val invariant_holds : t -> bool
-(** No node over-allocated; allocation bookkeeping consistent. *)
+(** No node over-allocated; allocation bookkeeping consistent, including
+    the kept free-CPU total, state counts and pending queue. *)

@@ -16,8 +16,8 @@ type t = {
 let status_of resource ~now =
   let lrm = Grid_gram.Resource.lrm resource in
   { Directory.free_cpus = Grid_lrm.Lrm.free_cpus lrm;
-    running_jobs = List.length (Grid_lrm.Lrm.running_jobs lrm);
-    pending_jobs = List.length (Grid_lrm.Lrm.pending_jobs lrm);
+    running_jobs = Grid_lrm.Lrm.running_count lrm;
+    pending_jobs = Grid_lrm.Lrm.pending_count lrm;
     published_at = now }
 
 let attach ?(period = 30.0) ?(site = "default") ~directory resource =

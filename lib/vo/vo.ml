@@ -13,7 +13,9 @@ type member = {
 
 type t = {
   name : string;
-  mutable members : member list;
+  (* DN -> (admission number, member); [members] lists by admission. *)
+  members : (int * member) Grid_gsi.Dn.Tbl.t;
+  mutable admissions : int;
   mutable profiles : Profile.t list;
   mutable jobtags : string list;
   mutable require_jobtag_on_start : bool;
@@ -24,7 +26,8 @@ type t = {
 
 let create ?member_prefix name =
   { name;
-    members = [];
+    members = Grid_gsi.Dn.Tbl.create 16;
+    admissions = 0;
     profiles = [];
     jobtags = [];
     require_jobtag_on_start = false;
@@ -34,19 +37,23 @@ let name t = t.name
 
 let add_member t ~dn ~groups =
   let dn = Grid_gsi.Dn.parse dn in
-  if List.exists (fun m -> Grid_gsi.Dn.equal m.dn dn) t.members then
+  if Grid_gsi.Dn.Tbl.mem t.members dn then
     invalid_arg ("Vo.add_member: already a member: " ^ Grid_gsi.Dn.to_string dn);
-  t.members <- t.members @ [ { dn; groups } ]
+  t.admissions <- t.admissions + 1;
+  Grid_gsi.Dn.Tbl.replace t.members dn (t.admissions, { dn; groups })
 
-let remove_member t ~dn =
-  t.members <- List.filter (fun m -> not (Grid_gsi.Dn.equal m.dn dn)) t.members
+let remove_member t ~dn = Grid_gsi.Dn.Tbl.remove t.members dn
 
-let members t = t.members
+let members t =
+  Grid_gsi.Dn.Tbl.fold (fun _ m acc -> m :: acc) t.members []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
 
-let is_member t dn = List.exists (fun m -> Grid_gsi.Dn.equal m.dn dn) t.members
+let find_member t dn = Option.map snd (Grid_gsi.Dn.Tbl.find_opt t.members dn)
+let is_member t dn = Grid_gsi.Dn.Tbl.mem t.members dn
 
 let groups_of t dn =
-  match List.find_opt (fun m -> Grid_gsi.Dn.equal m.dn dn) t.members with
+  match find_member t dn with
   | Some m -> m.groups
   | None -> []
 
@@ -100,7 +107,7 @@ let member_statements t =
           { Grid_policy.Types.kind = Grid_policy.Types.Grant;
             subject_pattern = m.dn;
             clauses })
-    t.members
+    (members t)
 
 let compile_policy t : Grid_policy.Types.t =
   requirement_statements t @ member_statements t
@@ -111,7 +118,7 @@ let policy_source t =
 (* VO-issued credential extension: the VO attests membership and groups by
    adding an extension a CAS-style service can sign into a credential. *)
 let membership_extension t dn =
-  match List.find_opt (fun m -> Grid_gsi.Dn.equal m.dn dn) t.members with
+  match find_member t dn with
   | None -> None
   | Some m ->
     Some

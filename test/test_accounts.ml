@@ -97,6 +97,246 @@ let qcheck_pool_never_double_allocates =
       let accounts = List.map snd by_holder in
       List.length (List.sort_uniq compare accounts) = List.length accounts)
 
+(* --- Pool against the list model --------------------------------------------- *)
+
+(* The list implementation the indexed pool replaced, kept as the
+   reference: every lease scan and the first-free-account search are
+   linear, so its answers are easy to trust. *)
+module List_pool = struct
+  type lease = {
+    lease_id : string;
+    account : string;
+    holder : Grid_gsi.Dn.t;
+    granted_at : float;
+    mutable expires_at : float;
+  }
+
+  type t = {
+    accounts : string list;
+    lease_lifetime : float;
+    mutable leases : lease list;
+    mutable grants : int;
+    mutable reuses : int;
+    mutable exhaustions : int;
+  }
+
+  let create ~size ~lease_lifetime =
+    { accounts = List.init size (fun i -> Printf.sprintf "grid%03d" i);
+      lease_lifetime;
+      leases = [];
+      grants = 0;
+      reuses = 0;
+      exhaustions = 0 }
+
+  let live_leases t ~now = List.filter (fun l -> now <= l.expires_at) t.leases
+
+  let expire t ~now =
+    let before = List.length t.leases in
+    t.leases <- live_leases t ~now;
+    before - List.length t.leases
+
+  let acquire t ~now ~holder =
+    ignore (expire t ~now);
+    match List.find_opt (fun l -> Grid_gsi.Dn.equal l.holder holder) t.leases with
+    | Some lease ->
+      lease.expires_at <- now +. t.lease_lifetime;
+      t.reuses <- t.reuses + 1;
+      Ok lease
+    | None -> begin
+      let in_use = List.map (fun l -> l.account) t.leases in
+      match List.find_opt (fun a -> not (List.mem a in_use)) t.accounts with
+      | None ->
+        t.exhaustions <- t.exhaustions + 1;
+        Error (Pool.Pool_exhausted { size = List.length t.accounts })
+      | Some account ->
+        let lease =
+          { lease_id = Grid_util.Ids.lease ();
+            account;
+            holder;
+            granted_at = now;
+            expires_at = now +. t.lease_lifetime }
+        in
+        t.grants <- t.grants + 1;
+        t.leases <- lease :: t.leases;
+        Ok lease
+    end
+
+  let release t ~lease_id =
+    if List.exists (fun l -> l.lease_id = lease_id) t.leases then begin
+      t.leases <- List.filter (fun l -> l.lease_id <> lease_id) t.leases;
+      Ok ()
+    end
+    else Error (Pool.Unknown_lease lease_id)
+
+  let holder_of t ~account ~now =
+    List.find_opt (fun l -> l.account = account) (live_leases t ~now)
+    |> Option.map (fun l -> l.holder)
+
+  let in_use t ~now = List.length (live_leases t ~now)
+  let available t ~now = List.length t.accounts - in_use t ~now
+end
+
+type pool_op =
+  | Acquire of int * float               (* holder index, now *)
+  | Release of int                       (* nth grant so far; negative: unknown id *)
+  | Expire of float
+  | Holder_of of int * float             (* account index *)
+  | Count of float                       (* in_use and available *)
+
+let show_pool_op = function
+  | Acquire (h, now) -> Printf.sprintf "acquire u%d @%g" h now
+  | Release n -> Printf.sprintf "release #%d" n
+  | Expire now -> Printf.sprintf "expire @%g" now
+  | Holder_of (a, now) -> Printf.sprintf "holder_of grid%03d @%g" a now
+  | Count now -> Printf.sprintf "count @%g" now
+
+(* A clock that mostly moves forward but sometimes looks back or ahead:
+   [now] is not monotonic, and queries land on both sides of deadlines. *)
+let gen_pool_script =
+  let open QCheck.Gen in
+  let* size = oneof [ return 1; int_range 2 6; return 12 ] in
+  let* steps = list_size (int_range 1 60) (pair (int_range 0 15) (int_range (-60) 60)) in
+  let* kinds = list_repeat (List.length steps) (pair (int_range 0 9) (int_range (-1) 20)) in
+  let clock = ref 0 in
+  let ops =
+    List.map2
+      (fun (advance, jitter) (kind, pick) ->
+        clock := !clock + advance;
+        (* One operation in three reads the clock off by up to a minute. *)
+        let now = float_of_int (max 0 (if jitter mod 3 = 0 then !clock + jitter else !clock)) in
+        match kind with
+        | 0 | 1 | 2 | 3 | 4 -> Acquire (abs pick mod 14, now)
+        | 5 | 6 -> Release pick
+        | 7 -> Expire now
+        | 8 -> Holder_of (abs pick mod (size + 1), now)
+        | _ -> Count now)
+      steps kinds
+  in
+  return (size, ops)
+
+let arb_pool_script =
+  QCheck.make gen_pool_script ~print:(fun (size, ops) ->
+      Printf.sprintf "size %d: %s" size (String.concat "; " (List.map show_pool_op ops)))
+
+let holder_dn i = dn (Printf.sprintf "/O=Grid/OU=Pool/CN=user %d" i)
+
+let show_result show = function
+  | Ok v -> "ok " ^ show v
+  | Error e -> "error " ^ Pool.error_to_string e
+
+let show_lease ~id ~account ~holder ~granted_at ~expires_at =
+  Printf.sprintf "%s %s %s granted %g expires %g" id account (Grid_gsi.Dn.to_string holder)
+    granted_at expires_at
+
+(* One script against one implementation: a line per operation, then the
+   stats. Lease ids come from the global counter, so both runs start from
+   a reset and the nth grant gets the same id in each. *)
+let run_pool_script (type p l) ~(create : unit -> p) ~acquire ~release ~expire ~holder_of
+    ~in_use ~available ~(lease_id : l -> string) ~(show : l -> string) ~stats ops =
+  Grid_util.Ids.reset ();
+  let pool = create () in
+  let granted = ref [] in
+  let line op =
+    match op with
+    | Acquire (h, now) ->
+      let r = acquire pool ~now ~holder:(holder_dn h) in
+      (match r with
+      | Ok l when not (List.mem (lease_id l) !granted) -> granted := !granted @ [ lease_id l ]
+      | Ok _ | Error _ -> ());
+      show_result show r
+    | Release n ->
+      let id =
+        if n < 0 || !granted = [] then "lease-unknown"
+        else List.nth !granted (n mod List.length !granted)
+      in
+      show_result (fun () -> id) (release pool ~lease_id:id)
+    | Expire now -> string_of_int (expire pool ~now)
+    | Holder_of (a, now) ->
+      Option.fold ~none:"none" ~some:Grid_gsi.Dn.to_string
+        (holder_of pool ~account:(Printf.sprintf "grid%03d" a) ~now)
+    | Count now -> Printf.sprintf "%d in use, %d available" (in_use pool ~now) (available pool ~now)
+  in
+  let lines = List.map (fun op -> show_pool_op op ^ " -> " ^ line op) ops in
+  lines @ [ stats pool ]
+
+let qcheck_pool_matches_list_model =
+  QCheck.Test.make ~name:"pool matches the list model" ~count:300 arb_pool_script
+    (fun (size, ops) ->
+      let lifetime = 40.0 in
+      let model =
+        run_pool_script ops
+          ~create:(fun () -> List_pool.create ~size ~lease_lifetime:lifetime)
+          ~acquire:List_pool.acquire ~release:List_pool.release ~expire:List_pool.expire
+          ~holder_of:List_pool.holder_of ~in_use:List_pool.in_use
+          ~available:List_pool.available
+          ~lease_id:(fun (l : List_pool.lease) -> l.lease_id)
+          ~show:(fun (l : List_pool.lease) ->
+            show_lease ~id:l.lease_id ~account:l.account ~holder:l.holder
+              ~granted_at:l.granted_at ~expires_at:l.expires_at)
+          ~stats:(fun (p : List_pool.t) ->
+            Printf.sprintf "stats %d %d %d" p.grants p.reuses p.exhaustions)
+      in
+      let indexed =
+        run_pool_script ops
+          ~create:(fun () -> Pool.create ~size ~lease_lifetime:lifetime ())
+          ~acquire:Pool.acquire ~release:Pool.release ~expire:Pool.expire
+          ~holder_of:Pool.holder_of ~in_use:Pool.in_use ~available:Pool.available
+          ~lease_id:(fun (l : Pool.lease) -> l.lease_id)
+          ~show:(fun (l : Pool.lease) ->
+            show_lease ~id:l.lease_id ~account:l.account ~holder:l.holder
+              ~granted_at:l.granted_at ~expires_at:l.expires_at)
+          ~stats:(fun p ->
+            let s = Pool.stats p in
+            Printf.sprintf "stats %d %d %d" s.total_grants s.total_reuses s.total_exhaustions)
+      in
+      match List.find_opt (fun (m, i) -> m <> i) (List.combine model indexed) with
+      | None -> true
+      | Some (m, i) -> QCheck.Test.fail_reportf "model:   %s\nindexed: %s" m i)
+
+let pinned test = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5EED; 607 |]) test
+
+(* Exhaustion when every account is leased, then reuse of the lowest freed
+   account rather than the next fresh one. *)
+let test_pool_full_then_lowest_free () =
+  setup ();
+  let pool = Pool.create ~size:4 ~lease_lifetime:100.0 () in
+  let leases =
+    List.init 4 (fun i -> Result.get_ok (Pool.acquire pool ~now:0.0 ~holder:(holder_dn i)))
+  in
+  (match Pool.acquire pool ~now:0.0 ~holder:(holder_dn 9) with
+  | Error (Pool.Pool_exhausted { size = 4 }) -> ()
+  | _ -> Alcotest.fail "full pool not reported exhausted");
+  List.iter
+    (fun i -> ignore (Result.get_ok (Pool.release pool ~lease_id:(List.nth leases i).Pool.lease_id)))
+    [ 3; 1 ];
+  let again = Result.get_ok (Pool.acquire pool ~now:1.0 ~holder:(holder_dn 9)) in
+  Alcotest.(check string) "lowest freed account" "grid001" again.Pool.account;
+  let next = Result.get_ok (Pool.acquire pool ~now:1.0 ~holder:(holder_dn 10)) in
+  Alcotest.(check string) "then the freed top account" "grid003" next.Pool.account;
+  Alcotest.(check int) "full again" 0 (Pool.available pool ~now:1.0)
+
+(* The pool's memory follows its leases, not its size: the same leases in
+   a pool of 8 and of 8,192 accounts reach the same number of words, and
+   releasing every lease, in any order, shrinks it back to empty. *)
+let test_pool_memory_follows_leases () =
+  let filled size =
+    setup ();
+    let pool = Pool.create ~size ~lease_lifetime:100.0 () in
+    let leases =
+      List.init 6 (fun i -> Result.get_ok (Pool.acquire pool ~now:0.0 ~holder:(holder_dn i)))
+    in
+    (pool, leases)
+  in
+  let words pool = Obj.reachable_words (Obj.repr pool) in
+  Alcotest.(check int) "same leases, same words" (words (fst (filled 8)))
+    (words (fst (filled 8192)));
+  let pool, leases = filled 8 in
+  List.iter
+    (fun i -> ignore (Result.get_ok (Pool.release pool ~lease_id:(List.nth leases i).Pool.lease_id)))
+    [ 2; 4; 5; 0; 3; 1 ];
+  Alcotest.(check int) "released, back to empty" (words (Pool.create ~size:8 ~lease_lifetime:100.0 ()))
+    (words pool)
+
 (* --- Sandbox ---------------------------------------------------------------- *)
 
 let job rsl = Result.get_ok (Grid_rsl.Job.of_string rsl)
@@ -358,7 +598,10 @@ let () =
           Alcotest.test_case "expiry reclaims" `Quick test_pool_expiry_reclaims;
           Alcotest.test_case "holder_of" `Quick test_pool_holder_of;
           Alcotest.test_case "release unknown" `Quick test_pool_release_unknown;
-          QCheck_alcotest.to_alcotest qcheck_pool_never_double_allocates ] );
+          Alcotest.test_case "full, then lowest free" `Quick test_pool_full_then_lowest_free;
+          Alcotest.test_case "memory follows leases" `Quick test_pool_memory_follows_leases;
+          QCheck_alcotest.to_alcotest qcheck_pool_never_double_allocates;
+          pinned qcheck_pool_matches_list_model ] );
       ( "sandbox",
         [ Alcotest.test_case "unrestricted" `Quick test_sandbox_unrestricted;
           Alcotest.test_case "cpu limit" `Quick test_sandbox_cpu_limit;

@@ -242,6 +242,348 @@ let qcheck_all_jobs_terminate =
           | _ -> false)
         !ids)
 
+(* --- Scheduler against the list model -------------------------------- *)
+
+(* The list scheduler the ordered queue replaced, kept as the reference:
+   pending is an insertion-ordered list sorted at every pass, and free
+   capacity is a fold over the nodes. *)
+module List_lrm = struct
+  module L = Grid_lrm.Lrm
+
+  type node = { cpus : int; mutable free : int }
+
+  type job = {
+    id : string;
+    spec : L.spec;
+    queue : L.queue_config;
+    mutable priority : int;
+    mutable state : L.state;
+    mutable remaining : float;
+    mutable walltime_used : float;
+    mutable started_at : float;
+    mutable allocation : (node * int) list;
+    mutable generation : int;
+    arrival : int;
+  }
+
+  type t = {
+    engine : Engine.t;
+    nodes : node list;
+    jobs : (string, job) Hashtbl.t;
+    mutable pending : job list;
+    mutable arrivals : int;
+    on_change : job -> L.state -> unit;
+  }
+
+  let create ~nodes ~cpus_per_node ~on_change engine =
+    { engine;
+      nodes = List.init nodes (fun _ -> { cpus = cpus_per_node; free = cpus_per_node });
+      jobs = Hashtbl.create 16;
+      pending = [];
+      arrivals = 0;
+      on_change }
+
+  let capacity t = List.fold_left (fun acc (n : node) -> acc + n.cpus) 0 t.nodes
+  let free_cpus t = List.fold_left (fun acc n -> acc + n.free) 0 t.nodes
+
+  let set_state t job state =
+    let from_state = job.state in
+    if from_state <> state then begin
+      job.state <- state;
+      t.on_change job from_state
+    end
+
+  let try_allocate t cpus =
+    if free_cpus t < cpus then None
+    else begin
+      let needed = ref cpus and taken = ref [] in
+      List.iter
+        (fun node ->
+          if !needed > 0 && node.free > 0 then begin
+            let take = min node.free !needed in
+            node.free <- node.free - take;
+            needed := !needed - take;
+            taken := (node, take) :: !taken
+          end)
+        t.nodes;
+      Some !taken
+    end
+
+  let release allocation = List.iter (fun (node, n) -> node.free <- node.free + n) allocation
+
+  let job_order a b =
+    let by_queue = compare b.queue.L.priority a.queue.L.priority in
+    if by_queue <> 0 then by_queue
+    else
+      let by_prio = compare b.priority a.priority in
+      if by_prio <> 0 then by_prio else compare a.arrival b.arrival
+
+  let walltime_left job =
+    match List.filter_map Fun.id [ job.spec.L.walltime_limit; job.queue.L.max_walltime ] with
+    | [] -> infinity
+    | caps -> List.fold_left min infinity caps -. job.walltime_used
+
+  let rec schedule_pass t =
+    let now = Engine.now t.engine in
+    List.iter
+      (fun job ->
+        if job.state = L.Pending then
+          match try_allocate t job.spec.L.cpus with
+          | None -> ()
+          | Some allocation ->
+            t.pending <- List.filter (fun j -> j != job) t.pending;
+            job.allocation <- allocation;
+            job.started_at <- now;
+            job.generation <- job.generation + 1;
+            set_state t job L.Running;
+            let budget = walltime_left job in
+            let generation = job.generation and timeout = job.remaining > budget in
+            Engine.schedule_after t.engine (min job.remaining budget) (fun () ->
+                complete t job ~generation ~timeout))
+      (List.sort job_order t.pending)
+
+  and complete t job ~generation ~timeout =
+    if job.generation = generation && job.state = L.Running then begin
+      let ran = Engine.now t.engine -. job.started_at in
+      job.walltime_used <- job.walltime_used +. ran;
+      job.remaining <- Float.max 0.0 (job.remaining -. ran);
+      release job.allocation;
+      job.allocation <- [];
+      set_state t job (if timeout then L.Killed "walltime exceeded" else L.Completed);
+      schedule_pass t
+    end
+
+  let submit t (spec : L.spec) =
+    let queue =
+      match spec.queue with
+      | None -> Ok (List.hd L.default_queues)
+      | Some name -> (
+        match List.find_opt (fun q -> q.L.queue_name = name) L.default_queues with
+        | Some q -> Ok q
+        | None -> Error (L.Unknown_queue name))
+    in
+    match queue with
+    | Error _ as e -> e
+    | Ok _ when spec.cpus > capacity t ->
+      Error (L.Too_many_cpus { requested = spec.cpus; capacity = capacity t })
+    | Ok queue ->
+      t.arrivals <- t.arrivals + 1;
+      let job =
+        { id = Grid_util.Ids.job ();
+          spec;
+          queue;
+          priority = 0;
+          state = L.Pending;
+          remaining = spec.duration;
+          walltime_used = 0.0;
+          started_at = Engine.now t.engine;
+          allocation = [];
+          generation = 0;
+          arrival = t.arrivals }
+      in
+      Hashtbl.replace t.jobs job.id job;
+      t.pending <- t.pending @ [ job ];
+      t.on_change job L.Pending;
+      schedule_pass t;
+      Ok job.id
+
+  let checkpoint_run t job =
+    let ran = Engine.now t.engine -. job.started_at in
+    job.walltime_used <- job.walltime_used +. ran;
+    job.remaining <- Float.max 0.0 (job.remaining -. ran);
+    release job.allocation;
+    job.allocation <- [];
+    job.generation <- job.generation + 1
+
+  let with_job t id f =
+    match Hashtbl.find_opt t.jobs id with
+    | None -> Error (L.Unknown_job id)
+    | Some job -> f job
+
+  let invalid job operation =
+    Error (L.Invalid_transition { job = job.id; state = job.state; operation })
+
+  let cancel t id =
+    with_job t id (fun job ->
+        match job.state with
+        | L.Pending ->
+          t.pending <- List.filter (fun j -> j != job) t.pending;
+          set_state t job L.Cancelled;
+          Ok id
+        | L.Running ->
+          checkpoint_run t job;
+          set_state t job L.Cancelled;
+          schedule_pass t;
+          Ok id
+        | L.Suspended ->
+          set_state t job L.Cancelled;
+          Ok id
+        | L.Completed | L.Cancelled | L.Killed _ -> invalid job "cancel")
+
+  let suspend t id =
+    with_job t id (fun job ->
+        match job.state with
+        | L.Running ->
+          checkpoint_run t job;
+          set_state t job L.Suspended;
+          schedule_pass t;
+          Ok id
+        | _ -> invalid job "suspend")
+
+  let resume t id =
+    with_job t id (fun job ->
+        match job.state with
+        | L.Suspended ->
+          set_state t job L.Pending;
+          t.pending <- job :: t.pending;
+          schedule_pass t;
+          Ok id
+        | _ -> invalid job "resume")
+
+  let set_priority t id priority =
+    with_job t id (fun job ->
+        job.priority <- priority;
+        schedule_pass t;
+        Ok id)
+
+  let count t state = Hashtbl.fold (fun _ j n -> if j.state = state then n + 1 else n) t.jobs 0
+end
+
+type lrm_op =
+  | Submit of int * int * int option * string option  (* cpus, duration, walltime, queue *)
+  | Cancel of int                                      (* nth submission *)
+  | Suspend of int
+  | Resume of int
+  | Set_priority of int * int
+  | Advance of int
+
+let show_lrm_op = function
+  | Submit (cpus, d, w, q) ->
+    Printf.sprintf "submit %d cpus %ds%s%s" cpus d
+      (Option.fold ~none:"" ~some:(Printf.sprintf " wall %ds") w)
+      (Option.fold ~none:"" ~some:(( ^ ) " queue ") q)
+  | Cancel n -> Printf.sprintf "cancel #%d" n
+  | Suspend n -> Printf.sprintf "suspend #%d" n
+  | Resume n -> Printf.sprintf "resume #%d" n
+  | Set_priority (n, p) -> Printf.sprintf "priority #%d %d" n p
+  | Advance s -> Printf.sprintf "advance %ds" s
+
+let gen_lrm_script =
+  let open QCheck.Gen in
+  let job = int_range 0 30 in
+  let op =
+    frequency
+      [ ( 5,
+          map
+            (fun (cpus, d, w, q) -> Submit (cpus, d, w, q))
+            (quad (int_range 1 13) (int_range 0 40)
+               (opt ~ratio:0.3 (int_range 1 30))
+               (frequencyl [ (6, None); (3, Some "priority"); (1, Some "nope") ])) );
+        (1, map (fun n -> Cancel n) job);
+        (2, map (fun n -> Suspend n) job);
+        (2, map (fun n -> Resume n) job);
+        (2, map2 (fun n p -> Set_priority (n, p)) job (int_range (-3) 3));
+        (3, map (fun s -> Advance s) (int_range 0 15)) ]
+  in
+  list_size (int_range 1 80) op
+
+let arb_lrm_script =
+  QCheck.make gen_lrm_script ~print:(fun ops -> String.concat "; " (List.map show_lrm_op ops))
+
+(* One script against one scheduler: every state change as it happens,
+   every operation's result, and the free CPUs and state counts after it.
+   Job ids come from the global counter, reset before each run. *)
+let run_lrm_script ~create ~submit ~cancel ~suspend ~resume ~set_priority ~free ~counts ops =
+  Grid_util.Ids.reset ();
+  let engine = Engine.create () in
+  let log = ref [] in
+  let say fmt = Printf.ksprintf (fun line -> log := line :: !log) fmt in
+  let on_change id ~from_state ~state =
+    say "  %s: %s -> %s" id (Grid_lrm.Lrm.state_to_string from_state)
+      (Grid_lrm.Lrm.state_to_string state)
+  in
+  let lrm = create engine on_change in
+  let ids = ref [||] in
+  let nth n = if Array.length !ids = 0 then "job-none" else !ids.(n mod Array.length !ids) in
+  let show = function
+    | Ok id -> "ok " ^ id
+    | Error e -> "error " ^ Grid_lrm.Lrm.error_to_string e
+  in
+  List.iter
+    (fun op ->
+      say "%s" (show_lrm_op op);
+      let result =
+        match op with
+        | Submit (cpus, duration, walltime, queue) ->
+          let r =
+            submit lrm
+              { Grid_lrm.Lrm.account = "acct";
+                cpus;
+                duration = float_of_int duration;
+                walltime_limit = Option.map float_of_int walltime;
+                queue }
+          in
+          Result.iter (fun id -> ids := Array.append !ids [| id |]) r;
+          show r
+        | Cancel n -> show (cancel lrm (nth n))
+        | Suspend n -> show (suspend lrm (nth n))
+        | Resume n -> show (resume lrm (nth n))
+        | Set_priority (n, p) -> show (set_priority lrm (nth n) p)
+        | Advance s ->
+          Engine.run_until engine (Engine.now engine +. float_of_int s);
+          "ok"
+      in
+      let running, pending = counts lrm in
+      say "%s; %d free, %d running, %d pending" result (free lrm) running pending)
+    ops;
+  Engine.run engine;
+  say "drained; %d free" (free lrm);
+  List.rev !log
+
+let qcheck_lrm_matches_list_model =
+  QCheck.Test.make ~name:"scheduler matches the list model" ~count:200 arb_lrm_script
+    (fun ops ->
+      let model =
+        run_lrm_script ops
+          ~create:(fun engine on_change ->
+            List_lrm.create ~nodes:3 ~cpus_per_node:4 engine
+              ~on_change:(fun (job : List_lrm.job) from_state ->
+                on_change job.id ~from_state ~state:job.state))
+          ~submit:List_lrm.submit ~cancel:List_lrm.cancel ~suspend:List_lrm.suspend
+          ~resume:List_lrm.resume ~set_priority:List_lrm.set_priority
+          ~free:List_lrm.free_cpus
+          ~counts:(fun t ->
+            (List_lrm.count t Grid_lrm.Lrm.Running, List_lrm.count t Grid_lrm.Lrm.Pending))
+      in
+      let invariant_broken = ref [] in
+      let queued =
+        run_lrm_script ops
+          ~create:(fun engine on_change ->
+            let lrm = Grid_lrm.Lrm.create ~nodes:3 ~cpus_per_node:4 engine in
+            Grid_lrm.Lrm.on_event lrm (fun (Grid_lrm.Lrm.State_changed { job; from_state }) ->
+                if not (Grid_lrm.Lrm.invariant_holds lrm) then
+                  invariant_broken := job.Grid_lrm.Lrm.id :: !invariant_broken;
+                on_change job.Grid_lrm.Lrm.id ~from_state ~state:job.Grid_lrm.Lrm.state);
+            lrm)
+          ~submit:Grid_lrm.Lrm.submit ~cancel:Grid_lrm.Lrm.cancel ~suspend:Grid_lrm.Lrm.suspend
+          ~resume:Grid_lrm.Lrm.resume ~set_priority:Grid_lrm.Lrm.set_priority
+          ~free:Grid_lrm.Lrm.free_cpus
+          ~counts:(fun t -> (Grid_lrm.Lrm.running_count t, Grid_lrm.Lrm.pending_count t))
+      in
+      if !invariant_broken <> [] then
+        QCheck.Test.fail_reportf "invariant broken at a transition of %s"
+          (List.hd !invariant_broken);
+      let rec first_difference = function
+        | [], [] -> true
+        | m :: model, q :: queued when m = q -> first_difference (model, queued)
+        | m, q ->
+          let head = function [] -> "(end)" | line :: _ -> line in
+          QCheck.Test.fail_reportf "model:  %s\nqueued: %s" (head m) (head q)
+      in
+      first_difference (model, queued))
+
+let pinned test = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5EED; 1207 |]) test
+
 (* --- Per-job listeners ---------------------------------------------- *)
 
 let job_of (Grid_lrm.Lrm.State_changed { job; _ }) = job
@@ -367,7 +709,8 @@ let () =
           Alcotest.test_case "set_priority reorders" `Quick test_set_priority_reorders ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest qcheck_no_oversubscription;
-          QCheck_alcotest.to_alcotest qcheck_all_jobs_terminate ] );
+          QCheck_alcotest.to_alcotest qcheck_all_jobs_terminate;
+          pinned qcheck_lrm_matches_list_model ] );
       ( "listeners",
         [ Alcotest.test_case "own job only" `Quick test_job_listener_own_job_only;
           Alcotest.test_case "before global listeners" `Quick test_job_listener_before_global;
