@@ -13,10 +13,9 @@
    lease id; account [i] is named when it is granted. The free
    accounts are every slot at or above the high-water mark [next] plus the
    [freed] slots below it, so the lowest free slot is [min freed] if any,
-   else [next]. [next - 1] is always leased (the mark drops when the top
-   slot is freed), and [next] only grows when [freed] is empty, so both
-   are bounded by the peak number of live leases. Expiry is a map ordered
-   by deadline; a renewal re-keys its lease. *)
+   else [next]. [next] only grows when [freed] is empty, so both are
+   bounded by the peak number of live leases. Expiry is a map ordered by
+   deadline; a renewal re-keys its lease. *)
 
 type lease = {
   lease_id : string;
@@ -88,22 +87,11 @@ let take_slot t =
     Some (t.next - 1)
   | None -> None
 
-let rec free_slot t slot =
-  if slot = t.next - 1 then begin
-    t.next <- slot;
-    match Int_set.max_elt_opt t.freed with
-    | Some top when top = slot - 1 ->
-      t.freed <- Int_set.remove top t.freed;
-      free_slot t top
-    | Some _ | None -> ()
-  end
-  else t.freed <- Int_set.add slot t.freed
-
 let forget t e =
   t.deadlines <- Deadlines.remove (deadline e) t.deadlines;
   Grid_gsi.Dn.Tbl.remove t.by_holder e.lease.holder;
   Hashtbl.remove t.by_id e.lease.lease_id;
-  free_slot t e.slot
+  t.freed <- Int_set.add e.slot t.freed
 
 (* Reclaim expired leases; returns how many were collected. A lease is
    live while [now <= expires_at]. *)

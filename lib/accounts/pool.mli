@@ -4,7 +4,8 @@
     A new holder gets the lowest-numbered free account. {!acquire},
     {!release} and {!expire} cost O(log live leases) per lease touched;
     {!holder_of}, {!in_use} and {!available} walk the live leases. Memory
-    is proportional to the leases outstanding, not to the pool's size. *)
+    is proportional to the peak number of live leases, not to the pool's
+    size. *)
 
 type lease = private {
   lease_id : string;

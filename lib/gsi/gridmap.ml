@@ -7,19 +7,10 @@
 
      "/O=Grid/O=Globus/OU=mcs.anl.gov/CN=Kate Keahey" keahey
      "/O=Grid/O=Globus/OU=mcs.anl.gov/CN=Bo Liu" bliu,fusion   # multiple accounts
-
-   The map is persistent. Lookups go through an index from {!Dn.hash} to
-   the first entry of each DN in that bucket, so the first line for a DN
-   wins, as in a scan of the file. *)
+*)
 
 type entry = { dn : Dn.t; accounts : string list }
-
-module Int_map = Map.Make (Int)
-
-type t = {
-  rev_entries : entry list;           (* newest first *)
-  index : entry list Int_map.t;       (* one entry per distinct DN *)
-}
+type t = { entries : entry list }
 
 exception Parse_error of { line : int; message : string }
 
@@ -41,45 +32,28 @@ let parse_line lineno line =
     if accounts = [] then fail "missing local account name";
     { dn; accounts }
 
-let empty = { rev_entries = []; index = Int_map.empty }
-
-let find t dn =
-  match Int_map.find_opt (Dn.hash dn) t.index with
-  | Some bucket -> List.find_opt (fun e -> Dn.equal e.dn dn) bucket
-  | None -> None
-
-let add_entry t e =
-  let index =
-    if Option.is_some (find t e.dn) then t.index
-    else
-      Int_map.update (Dn.hash e.dn)
-        (fun bucket -> Some (e :: Option.value ~default:[] bucket))
-        t.index
-  in
-  { rev_entries = e :: t.rev_entries; index }
-
 let parse text =
-  List.fold_left
-    (fun t (n, line) -> add_entry t (parse_line n line))
-    empty (Grid_util.Strings.config_lines text)
+  { entries = List.map (fun (n, line) -> parse_line n line) (Grid_util.Strings.config_lines text) }
 
-let add t ~dn ~account = add_entry t { dn; accounts = [ account ] }
+let empty = { entries = [] }
+
+let add t ~dn ~account = { entries = t.entries @ [ { dn; accounts = [ account ] } ] }
 
 let lookup t dn =
-  match find t dn with
+  match List.find_opt (fun e -> Dn.equal e.dn dn) t.entries with
   | Some { accounts = a :: _; _ } -> Some a
   | Some { accounts = []; _ } | None -> None
 
 let lookup_all t dn =
-  match find t dn with
+  match List.find_opt (fun e -> Dn.equal e.dn dn) t.entries with
   | Some e -> e.accounts
   | None -> []
 
 let mem t dn = lookup t dn <> None
 
-let entries t = List.rev t.rev_entries
+let entries t = t.entries
 
 let to_text t =
   Grid_util.Strings.concat_map "\n"
     (fun e -> Printf.sprintf "%S %s" (Dn.to_string e.dn) (String.concat "," e.accounts))
-    (entries t)
+    t.entries

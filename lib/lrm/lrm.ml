@@ -11,11 +11,10 @@
    scans pending jobs in (queue priority, job priority, arrival) order and
    starts every job that fits — i.e. priority-ordered first-fit with
    skipping (small low-priority jobs may backfill around a large blocked
-   one; adequate for a simulator substrate). The pending jobs are kept in
-   that order, and the free CPU total and the running and pending counts
-   are kept as they change, so a pass stops as soon as the cluster is full
-   and the information provider reads counts instead of folding every job
-   ever submitted.
+   one; adequate for a simulator substrate). The free CPU total and the
+   running and pending counts are kept as they change, so a pass stops as soon as the
+   cluster is full and the information provider reads counts instead of
+   folding every job ever submitted.
 
    Walltime accounting: a job's walltime budget is consumed only while
    running (it survives suspension); exceeding it kills the job, mirroring
@@ -76,22 +75,6 @@ type job = {
 type event =
   | State_changed of { job : job; from_state : state }
 
-(* Scheduling order; total, since arrivals are unique. *)
-let job_order a b =
-  let by_queue = Int.compare b.queue.priority a.queue.priority in
-  if by_queue <> 0 then by_queue
-  else
-    let by_prio = Int.compare b.priority a.priority in
-    if by_prio <> 0 then by_prio else Int.compare a.arrival b.arrival
-
-(* Keyed on [job_order]: a queued job's priority changes only while it is
-   out of the set. *)
-module Queue_order = Set.Make (struct
-  type t = job
-
-  let compare = job_order
-end)
-
 type t = {
   engine : Grid_sim.Engine.t;
   obs : Grid_obs.Obs.t;
@@ -101,7 +84,7 @@ type t = {
   queues : queue_config list;
   default_queue : queue_config;
   jobs : (string, job) Hashtbl.t;
-  mutable pending : Queue_order.t; (* exactly the jobs queued to start *)
+  mutable pending : job list;      (* newest first; sorted at pass time *)
   mutable running_count : int;
   mutable pending_count : int;
   mutable arrivals : int;
@@ -144,7 +127,7 @@ let create ?(obs = Grid_obs.Obs.noop) ?(queues = default_queues) ~nodes ~cpus_pe
     queues;
     default_queue = List.hd queues;
     jobs = Hashtbl.create 64;
-    pending = Queue_order.empty;
+    pending = [];
     running_count = 0;
     pending_count = 0;
     arrivals = 0;
@@ -263,6 +246,13 @@ let release t allocation =
 
 (* --- Scheduling ------------------------------------------------------ *)
 
+let job_order a b =
+  let by_queue = compare b.queue.priority a.queue.priority in
+  if by_queue <> 0 then by_queue
+  else
+    let by_prio = compare b.priority a.priority in
+    if by_prio <> 0 then by_prio else compare a.arrival b.arrival
+
 (* Remaining walltime budget: the tighter of job and queue caps. *)
 let walltime_left job =
   let caps =
@@ -272,35 +262,32 @@ let walltime_left job =
   | [] -> infinity
   | caps -> List.fold_left min infinity caps -. job.walltime_used
 
-(* Walks the queue as it stood when the pass began (listeners may change
-   it meanwhile), and stops once no CPU is free: every job needs one. *)
+(* Stops once no CPU is free: every job needs one. *)
 let rec schedule_pass t =
   let now = Grid_sim.Engine.now t.engine in
   let started = ref false in
-  let rec scan candidates =
-    if t.free_total > 0 then
-      match candidates () with
-      | Seq.Nil -> ()
-      | Seq.Cons (job, rest) ->
-        (if job.state = Pending then
-           match try_allocate t job.spec.cpus with
-           | None -> ()
-           | Some allocation ->
-             t.pending <- Queue_order.remove job t.pending;
-             job.allocation <- allocation;
-             job.started_at <- now;
-             job.generation <- job.generation + 1;
-             started := true;
-             set_state t job Running;
-             let budget = walltime_left job in
-             let run_for = min job.remaining budget in
-             let generation = job.generation in
-             let timeout = job.remaining > budget in
-             Grid_sim.Engine.schedule_after t.engine run_for (fun () ->
-                 complete t job ~generation ~timeout));
-        scan rest
+  let rec scan = function
+    | job :: rest when t.free_total > 0 ->
+      (if job.state = Pending then
+         match try_allocate t job.spec.cpus with
+         | None -> ()
+         | Some allocation ->
+           t.pending <- List.filter (fun j -> j != job) t.pending;
+           job.allocation <- allocation;
+           job.started_at <- now;
+           job.generation <- job.generation + 1;
+           started := true;
+           set_state t job Running;
+           let budget = walltime_left job in
+           let run_for = min job.remaining budget in
+           let generation = job.generation in
+           let timeout = job.remaining > budget in
+           Grid_sim.Engine.schedule_after t.engine run_for (fun () ->
+               complete t job ~generation ~timeout));
+      scan rest
+    | _ :: _ | [] -> ()
   in
-  scan (Queue_order.to_seq t.pending);
+  scan (List.sort job_order t.pending);
   if !started then update_gauges t
 
 and complete t job ~generation ~timeout =
@@ -363,7 +350,7 @@ let submit t (spec : spec) =
           arrival = t.arrivals }
       in
       Hashtbl.replace t.jobs job.id job;
-      t.pending <- Queue_order.add job t.pending;
+      t.pending <- job :: t.pending;
       t.pending_count <- t.pending_count + 1;
       emit t (State_changed { job; from_state = Pending });
       schedule_pass t;
@@ -387,7 +374,7 @@ let cancel t id =
   | Ok job -> begin
     match job.state with
     | Pending ->
-      t.pending <- Queue_order.remove job t.pending;
+      t.pending <- List.filter (fun j -> j != job) t.pending;
       set_state t job Cancelled;
       Ok id
     | Running ->
@@ -422,8 +409,8 @@ let resume t id =
   | Ok job -> begin
     match job.state with
     | Suspended ->
-      t.pending <- Queue_order.add job t.pending;
       set_state t job Pending;
+      t.pending <- job :: t.pending;
       schedule_pass t;
       Ok id
     | Pending | Running | Completed | Cancelled | Killed _ ->
@@ -434,10 +421,7 @@ let set_priority t id priority =
   match find_job t id with
   | Error _ as e -> e
   | Ok job ->
-    let queued = Queue_order.mem job t.pending in
-    if queued then t.pending <- Queue_order.remove job t.pending;
     job.priority <- priority;
-    if queued then t.pending <- Queue_order.add job t.pending;
     schedule_pass t;
     Ok id
 
@@ -472,8 +456,9 @@ let running_jobs t = List.filter (fun j -> j.state = Running) (jobs t)
 let pending_jobs t = List.filter (fun j -> j.state = Pending) (jobs t)
 
 (* Invariant checked by the property tests: allocations never exceed any
-   node's capacity, and bookkeeping is consistent: the kept totals, counts
-   and queue agree with the nodes and the job table. *)
+   node's capacity, and bookkeeping is consistent: the kept total and
+   counts agree with the nodes and the job table, and only pending jobs
+   are queued. *)
 let invariant_holds t =
   List.for_all (fun n -> n.free >= 0 && n.free <= n.cpus) t.nodes
   && t.free_total = List.fold_left (fun acc n -> acc + n.free) 0 t.nodes
@@ -487,4 +472,4 @@ let invariant_holds t =
   allocated = cpus_in_use t
   && t.running_count = List.length running
   && t.pending_count = List.length pending
-  && List.equal ( == ) (Queue_order.elements t.pending) (List.sort job_order pending)
+  && List.for_all (fun j -> j.state = Pending) t.pending

@@ -129,4 +129,5 @@ val pending_jobs : t -> job list
 
 val invariant_holds : t -> bool
 (** No node over-allocated; allocation bookkeeping consistent, including
-    the kept free-CPU total, state counts and pending queue. *)
+    the kept free-CPU total and state counts; only pending jobs are
+    queued. *)

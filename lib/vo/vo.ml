@@ -13,9 +13,7 @@ type member = {
 
 type t = {
   name : string;
-  (* DN -> (admission number, member); [members] lists by admission. *)
-  members : (int * member) Grid_gsi.Dn.Tbl.t;
-  mutable admissions : int;
+  mutable members : member list;
   mutable profiles : Profile.t list;
   mutable jobtags : string list;
   mutable require_jobtag_on_start : bool;
@@ -26,8 +24,7 @@ type t = {
 
 let create ?member_prefix name =
   { name;
-    members = Grid_gsi.Dn.Tbl.create 16;
-    admissions = 0;
+    members = [];
     profiles = [];
     jobtags = [];
     require_jobtag_on_start = false;
@@ -37,23 +34,19 @@ let name t = t.name
 
 let add_member t ~dn ~groups =
   let dn = Grid_gsi.Dn.parse dn in
-  if Grid_gsi.Dn.Tbl.mem t.members dn then
+  if List.exists (fun m -> Grid_gsi.Dn.equal m.dn dn) t.members then
     invalid_arg ("Vo.add_member: already a member: " ^ Grid_gsi.Dn.to_string dn);
-  t.admissions <- t.admissions + 1;
-  Grid_gsi.Dn.Tbl.replace t.members dn (t.admissions, { dn; groups })
+  t.members <- t.members @ [ { dn; groups } ]
 
-let remove_member t ~dn = Grid_gsi.Dn.Tbl.remove t.members dn
+let remove_member t ~dn =
+  t.members <- List.filter (fun m -> not (Grid_gsi.Dn.equal m.dn dn)) t.members
 
-let members t =
-  Grid_gsi.Dn.Tbl.fold (fun _ m acc -> m :: acc) t.members []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.map snd
+let members t = t.members
 
-let find_member t dn = Option.map snd (Grid_gsi.Dn.Tbl.find_opt t.members dn)
-let is_member t dn = Grid_gsi.Dn.Tbl.mem t.members dn
+let is_member t dn = List.exists (fun m -> Grid_gsi.Dn.equal m.dn dn) t.members
 
 let groups_of t dn =
-  match find_member t dn with
+  match List.find_opt (fun m -> Grid_gsi.Dn.equal m.dn dn) t.members with
   | Some m -> m.groups
   | None -> []
 
@@ -107,7 +100,7 @@ let member_statements t =
           { Grid_policy.Types.kind = Grid_policy.Types.Grant;
             subject_pattern = m.dn;
             clauses })
-    (members t)
+    t.members
 
 let compile_policy t : Grid_policy.Types.t =
   requirement_statements t @ member_statements t
@@ -118,7 +111,7 @@ let policy_source t =
 (* VO-issued credential extension: the VO attests membership and groups by
    adding an extension a CAS-style service can sign into a credential. *)
 let membership_extension t dn =
-  match find_member t dn with
+  match List.find_opt (fun m -> Grid_gsi.Dn.equal m.dn dn) t.members with
   | None -> None
   | Some m ->
     Some

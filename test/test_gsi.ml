@@ -322,37 +322,10 @@ let test_gridmap_add () =
   Alcotest.(check (option string)) "added" (Some "new")
     (Gridmap.lookup gm (Dn.parse "/O=Grid/CN=New"))
 
-(* The first line for a DN wins, as in a scan of the file; every line is
-   kept for rendering. *)
-let test_gridmap_duplicates () =
-  let gm = Gridmap.parse "\"/O=Grid/CN=Twice\" first\n\"/O=Grid/CN=Twice\" second,third\n" in
-  let twice = Dn.parse "/O=Grid/CN=Twice" in
-  Alcotest.(check (option string)) "first wins" (Some "first") (Gridmap.lookup gm twice);
-  Alcotest.(check (list string)) "first wins for all" [ "first" ] (Gridmap.lookup_all gm twice);
-  let gm = Gridmap.add gm ~dn:twice ~account:"fourth" in
-  Alcotest.(check (option string)) "still first" (Some "first") (Gridmap.lookup gm twice);
-  Alcotest.(check int) "every line kept" 3 (List.length (Gridmap.entries gm));
-  Alcotest.(check string) "rendered in order"
-    "\"/O=Grid/CN=Twice\" first\n\"/O=Grid/CN=Twice\" second,third\n\"/O=Grid/CN=Twice\" fourth"
-    (Gridmap.to_text gm)
-
 (* Population DNs share every component but the trailing CN. *)
 let population_dn i =
   Dn.parse
     (Printf.sprintf "/C=US/O=Grid/O=Globus/OU=mcs.anl.gov/OU=People/OU=Staff/L=Argonne/ST=IL/DC=org/DC=doegrids/CN=User %d" i)
-
-let test_gridmap_population () =
-  let gm =
-    List.fold_left
-      (fun gm i -> Gridmap.add gm ~dn:(population_dn i) ~account:(Printf.sprintf "u%d" i))
-      Gridmap.empty (List.init 2000 Fun.id)
-  in
-  List.iter
-    (fun i ->
-      Alcotest.(check (option string)) "own account" (Some (Printf.sprintf "u%d" i))
-        (Gridmap.lookup gm (population_dn i)))
-    [ 0; 1; 999; 1999 ];
-  Alcotest.(check bool) "absent" false (Gridmap.mem gm (population_dn 2000))
 
 let test_dn_hash () =
   let hashes = List.init 1000 (fun i -> Dn.hash (population_dn i)) in
@@ -524,9 +497,7 @@ let () =
         [ Alcotest.test_case "parse/lookup" `Quick test_gridmap_parse_lookup;
           Alcotest.test_case "roundtrip" `Quick test_gridmap_roundtrip;
           Alcotest.test_case "errors" `Quick test_gridmap_errors;
-          Alcotest.test_case "add" `Quick test_gridmap_add;
-          Alcotest.test_case "duplicates" `Quick test_gridmap_duplicates;
-          Alcotest.test_case "population" `Quick test_gridmap_population ] );
+          Alcotest.test_case "add" `Quick test_gridmap_add ] );
       ( "authn",
         [ Alcotest.test_case "handshake" `Quick test_authn_handshake;
           Alcotest.test_case "challenge binding" `Quick test_authn_challenge_binding ] );

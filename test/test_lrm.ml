@@ -244,9 +244,9 @@ let qcheck_all_jobs_terminate =
 
 (* --- Scheduler against the list model -------------------------------- *)
 
-(* The list scheduler the ordered queue replaced, kept as the reference:
-   pending is an insertion-ordered list sorted at every pass, and free
-   capacity is a fold over the nodes. *)
+(* The scheduler before it kept its totals, kept as the reference:
+   pending is an insertion-ordered list sorted and scanned in full at
+   every pass, and free capacity is a fold over the nodes. *)
 module List_lrm = struct
   module L = Grid_lrm.Lrm
 

@@ -43,18 +43,6 @@ let test_remove_member () =
   Vo.remove_member vo ~dn:(dn alice);
   Alcotest.(check bool) "gone" false (Vo.is_member vo (dn alice))
 
-(* Members list in admission order; a re-admitted member goes last. *)
-let test_member_order () =
-  let vo = make_vo () in
-  let carol = org ^ "/CN=Carol" in
-  Vo.add_member vo ~dn:carol ~groups:[ "admins" ];
-  Vo.remove_member vo ~dn:(dn alice);
-  Vo.add_member vo ~dn:alice ~groups:[ "admins" ];
-  Alcotest.(check (list string)) "admission order" [ bob; carol; alice ]
-    (List.map (fun m -> Grid_gsi.Dn.to_string m.Vo.dn) (Vo.members vo));
-  Alcotest.(check (list string)) "re-admitted with new groups" [ "admins" ]
-    (Vo.groups_of vo (dn alice))
-
 let test_jobtags () =
   let vo = make_vo () in
   Vo.register_jobtag vo "DEV";
@@ -159,7 +147,6 @@ let () =
         [ Alcotest.test_case "membership" `Quick test_membership;
           Alcotest.test_case "duplicates rejected" `Quick test_duplicate_member_rejected;
           Alcotest.test_case "remove" `Quick test_remove_member;
-          Alcotest.test_case "order" `Quick test_member_order;
           Alcotest.test_case "jobtags" `Quick test_jobtags;
           Alcotest.test_case "extension" `Quick test_membership_extension ] );
       ( "policy-compilation",
